@@ -13,11 +13,12 @@
  * producing bit-identical observations; on a single-core host the
  * threads>1 rows only show the pool's dispatch overhead.
  *
- * A third axis measures the batch path: BM_BatchOracle drives
+ * A third axis measures batch size: BM_BatchOracle drives
  * DiffEngine::runBatch over a deterministic 64-input batch so the
  * resident executors (decoded module, warm arena) run the whole
- * batch implementation-major — the execution shape of a batching
- * fuzz campaign — versus BM_CompDiff's one-round-per-input shape.
+ * batch implementation-major — the execution shape of a fuzz
+ * campaign between plot samples — versus BM_CompDiff's runInput,
+ * which is a batch of one (one pool dispatch per input).
  *
  * Besides the human-readable console table, the binary always emits
  * a machine-readable google-benchmark JSON report (default
@@ -141,7 +142,9 @@ BM_PhaseExecute(benchmark::State &state)
 BENCHMARK(BM_PhaseExecute);
 
 /** Phase 4, the paper's overhead axis: CompDiff with a
- *  k-implementation oracle on `jobs` worker threads. */
+ *  k-implementation oracle on `jobs` worker threads, one input per
+ *  DiffEngine::runInput call (a batch of one: one pool dispatch per
+ *  input when jobs > 1). */
 void
 BM_CompDiff(benchmark::State &state)
 {

@@ -133,39 +133,24 @@ DiffEngine::retarget(const minic::Program &program)
 DiffResult
 DiffEngine::runInput(const Bytes &input, std::uint64_t nonce_base) const
 {
-    obs::Span run_span("compdiff.runInput");
-    DiffResult result;
-    result.observations.resize(impls_.size());
-    result.attempts = 1;
-    // The k executions of a round run on the engine's
-    // ExecutionService (in parallel when options_.jobs > 1);
-    // observations land in configuration order either way.
-    service_->runRound(input, nonce_base,
-                       options_.limits.maxInstructions,
-                       options_.normalizer, result.observations);
-    finishInput(result, input, nonce_base);
-    return result;
+    return std::move(runBatch({&input, 1}, {&nonce_base, 1}).front());
 }
 
 std::vector<DiffResult>
-DiffEngine::runBatch(const std::vector<Bytes> &inputs,
-                     const std::vector<std::uint64_t> &nonce_bases) const
+DiffEngine::runBatch(std::span<const Bytes> inputs,
+                     std::span<const std::uint64_t> nonce_bases) const
 {
     obs::Span run_span("compdiff.runBatch");
-    std::vector<DiffResult> results(inputs.size());
-    if (inputs.empty())
-        return results;
-
     // First round for the whole batch, implementation-major: each
     // resident executor (warm decoded module + arena) runs every
-    // input back to back.
-    std::vector<std::vector<Observation>> rounds;
+    // input back to back — in parallel when options_.jobs > 1;
+    // observations land in configuration order either way.
+    std::vector<DiffResult> results(inputs.size());
     service_->runBatch(inputs, nonce_bases,
                        options_.limits.maxInstructions,
-                       options_.normalizer, rounds);
+                       options_.normalizer, results);
     for (std::size_t b = 0; b < inputs.size(); b++) {
         results[b].attempts = 1;
-        results[b].observations = std::move(rounds[b]);
         // RQ6 retries (rare) and classification complete per input.
         finishInput(results[b], inputs[b], nonce_bases[b]);
     }
@@ -177,8 +162,7 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
                         std::uint64_t nonce_base) const
 {
     // result.observations holds the first round; the loop below
-    // continues the budget schedule exactly where a serial
-    // runInput's round loop would be after its first iteration.
+    // continues the budget schedule from there.
     std::uint64_t budget = options_.limits.maxInstructions;
     int attempts_left = (options_.retryTimeouts
                              ? options_.timeoutRetries + 1
@@ -204,8 +188,8 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
         if (attempts_left-- <= 0)
             break;
         result.attempts++;
-        service_->runRound(input, nonce_base, budget,
-                           options_.normalizer, result.observations);
+        service_->runBatch({&input, 1}, {&nonce_base, 1}, budget,
+                           options_.normalizer, {&result, 1});
     }
 
     // Assign behavior classes.
@@ -241,18 +225,6 @@ DiffEngine::finishInput(DiffResult &result, const Bytes &input,
         obs::histogram("compdiff.classes_per_run")
             .observe(result.classCount);
     }
-}
-
-std::optional<DiffResult>
-DiffEngine::findDivergence(const std::vector<Bytes> &inputs) const
-{
-    std::uint64_t nonce = 0;
-    for (const auto &input : inputs) {
-        auto result = runInput(input, nonce++);
-        if (result.divergent)
-            return result;
-    }
-    return std::nullopt;
 }
 
 } // namespace compdiff::core

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,7 +116,7 @@ struct DiffResult
  * per implementation (the simulated family memoizes modules in the
  * process-wide compiler::CompileCache, so rebuilding an engine for
  * the same (program, impl, traits) skips recompilation entirely);
- * runInput() then only executes (the forkserver-style reuse from
+ * runBatch() then only executes (the forkserver-style reuse from
  * Section 3.2), dispatching the k executions over the engine's
  * ExecutionService (serially when options.jobs == 1).
  *
@@ -155,7 +155,8 @@ class DiffEngine
     ~DiffEngine();
 
     /**
-     * Run every binary on one input and compare normalized outputs.
+     * Run every binary on one input and compare normalized outputs:
+     * a runBatch of one, viewing `input` in place.
      *
      * @param input      The test input.
      * @param nonce_base Seed for per-execution nonces (timestamps);
@@ -167,16 +168,17 @@ class DiffEngine
 
     /**
      * Run a batch of inputs against the resident binaries — one
-     * DiffResult per input, each bit-identical to
-     * runInput(inputs[b], nonce_bases[b]). The first execution round
-     * of the whole batch is dispatched implementation-major through
-     * the ExecutionService (each resident executor runs every input
-     * back to back); the rare RQ6 timeout-retry rounds then complete
-     * per input. `nonce_bases` must have one entry per input.
+     * DiffResult per input, each a pure function of (input,
+     * nonce_base), so batch boundaries are unobservable. The first
+     * execution round of the whole batch is dispatched
+     * implementation-major through the ExecutionService (each
+     * resident executor runs every input back to back); the rare RQ6
+     * timeout-retry rounds then complete per input, each as a batch
+     * of one. `nonce_bases` must have one entry per input.
      */
     std::vector<DiffResult>
-    runBatch(const std::vector<support::Bytes> &inputs,
-             const std::vector<std::uint64_t> &nonce_bases) const;
+    runBatch(std::span<const support::Bytes> inputs,
+             std::span<const std::uint64_t> nonce_bases) const;
 
     /**
      * Recompile the oracle for a new program and retarget the
@@ -188,10 +190,6 @@ class DiffEngine
      * candidate programs.
      */
     void retarget(const minic::Program &program);
-
-    /** First divergence-triggering input among `inputs`, if any. */
-    std::optional<DiffResult>
-    findDivergence(const std::vector<support::Bytes> &inputs) const;
 
     /** The oracle members, in observation order. */
     const ImplementationSet &implementations() const
@@ -208,8 +206,7 @@ class DiffEngine
     /**
      * Complete a result whose observations hold the first round
      * (result.attempts == 1): run the RQ6 timeout-retry loop, assign
-     * behavior classes, and record metrics. Shared by runInput and
-     * runBatch so the two paths cannot drift.
+     * behavior classes, and record metrics.
      */
     void finishInput(DiffResult &result, const support::Bytes &input,
                      std::uint64_t nonce_base) const;

@@ -64,69 +64,37 @@ ExecutionService::executeOne(std::size_t index, const Bytes &input,
 }
 
 void
-ExecutionService::runRound(const Bytes &input,
-                           std::uint64_t nonce_base,
+ExecutionService::runBatch(std::span<const Bytes> inputs,
+                           std::span<const std::uint64_t> nonce_bases,
                            std::uint64_t budget,
                            const OutputNormalizer &normalizer,
-                           std::vector<Observation> &out)
+                           std::span<DiffResult> out)
 {
-    out.resize(executors_.size());
-    if (!pool_) {
-        for (std::size_t i = 0; i < executors_.size(); i++)
-            executeOne(i, input, nonce_base, budget, normalizer,
-                       out[i]);
-        return;
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(executors_.size());
-    for (std::size_t i = 0; i < executors_.size(); i++) {
-        tasks.push_back([this, i, &input, nonce_base, budget,
-                         &normalizer, &out] {
-            executeOne(i, input, nonce_base, budget, normalizer,
-                       out[i]);
-        });
-    }
-    pool_->runAll(std::move(tasks));
-}
-
-void
-ExecutionService::runBatch(const std::vector<Bytes> &inputs,
-                           const std::vector<std::uint64_t> &nonce_bases,
-                           std::uint64_t budget,
-                           const OutputNormalizer &normalizer,
-                           std::vector<std::vector<Observation>> &out)
-{
-    out.resize(inputs.size());
-    for (auto &row : out)
-        row.resize(executors_.size());
+    for (auto &result : out)
+        result.observations.resize(executors_.size());
 
     // Implementation-major: one executor runs the whole input batch
     // before the next implementation starts. Every (i, b) cell is a
     // pure function of (implementation, input, nonce_base, budget),
-    // so this order — and the jobs > 1 fan-out below — reproduces
-    // per-input rounds bit for bit.
-    if (!pool_) {
-        for (std::size_t i = 0; i < executors_.size(); i++) {
-            for (std::size_t b = 0; b < inputs.size(); b++) {
-                executeOne(i, inputs[b], nonce_bases[b], budget,
-                           normalizer, out[b][i]);
-            }
+    // so neither this order nor the jobs > 1 fan-out below is
+    // observable.
+    const auto run_impl = [&](std::size_t i) {
+        for (std::size_t b = 0; b < inputs.size(); b++) {
+            executeOne(i, inputs[b], nonce_bases[b], budget,
+                       normalizer, out[b].observations[i]);
         }
+    };
+    if (!pool_) {
+        for (std::size_t i = 0; i < executors_.size(); i++)
+            run_impl(i);
         return;
     }
     // One task per implementation (an executor is single-threaded);
     // each task walks the batch serially.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(executors_.size());
-    for (std::size_t i = 0; i < executors_.size(); i++) {
-        tasks.push_back([this, i, &inputs, &nonce_bases, budget,
-                         &normalizer, &out] {
-            for (std::size_t b = 0; b < inputs.size(); b++) {
-                executeOne(i, inputs[b], nonce_bases[b], budget,
-                           normalizer, out[b][i]);
-            }
-        });
-    }
+    for (std::size_t i = 0; i < executors_.size(); i++)
+        tasks.push_back([&run_impl, i] { run_impl(i); });
     pool_->runAll(std::move(tasks));
 }
 

@@ -14,29 +14,31 @@
  * ExecutionService is the forkserver analog one level up: it keeps
  * one resident Executor per implementation (a warm Vm for the
  * simulated family, a warm tree-walker for the reference
- * interpreter — whatever the backend builds) and dispatches each
- * round of k executions over a support::ThreadPool. Determinism is
- * preserved structurally:
- *   - observation i is written to slot i of the output vector, so
- *     completion order is invisible;
+ * interpreter — whatever the backend builds) and executes batches of
+ * inputs against them, implementation-major, over a
+ * support::ThreadPool. A single input is a batch of one. Determinism
+ * is preserved structurally:
+ *   - input b's observation of implementation i is written to
+ *     out[b].observations[i], so completion order is invisible;
  *   - per-execution nonces are computed from (nonce_base, i), not
  *     from scheduling;
  *   - the RQ6 timeout-retry loop stays in DiffEngine, which sees
  *     exactly the same observation vector a serial run produces.
- * A service with jobs == 1 runs the round inline on the caller's
+ * A service with jobs == 1 runs the batch inline on the caller's
  * thread with the same code path, which is how the bit-identity of
  * `--jobs 1` and `--jobs N` is enforced by design rather than by
  * testing alone (the test exists too).
  *
  * Concurrency contract: one ExecutionService belongs to one
- * DiffEngine, and runRound() may be called by one thread at a time
- * (the per-implementation Executors are reused across rounds).
+ * DiffEngine, and runBatch() may be called by one thread at a time
+ * (the per-implementation Executors are reused across batches).
  * Sharded campaigns get one engine (and service) per shard.
  */
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +57,7 @@ class ExecutionService
      * @param artifacts One compiled artifact per implementation
      *                  (same order).
      * @param limits    Per-execution limits; the instruction budget
-     *                  is overridden per round (RQ6 retries).
+     *                  is overridden per batch (RQ6 retries).
      * @param jobs      Worker threads; 1 = inline serial execution,
      *                  0 = ThreadPool::hardwareWorkers().
      */
@@ -65,36 +67,25 @@ class ExecutionService
         vm::VmLimits limits, std::size_t jobs);
 
     /**
-     * Execute every implementation on `input` with the given
-     * instruction budget and fill `out` (resized to size()) in
-     * implementation order.
-     */
-    void runRound(const support::Bytes &input,
-                  std::uint64_t nonce_base, std::uint64_t budget,
-                  const OutputNormalizer &normalizer,
-                  std::vector<Observation> &out);
-
-    /**
-     * Execute every implementation on every input (one first round
-     * per input) and fill `out[b][i]` with input b's observation of
-     * implementation i — exactly what runRound(inputs[b],
-     * nonce_bases[b], ...) would have produced, since each
-     * observation depends only on (implementation, input,
-     * nonce_base, budget).
+     * Execute every implementation on every input with the given
+     * instruction budget and fill out[b].observations (resized to
+     * size()) with input b's observations in implementation order.
+     * Each observation depends only on (implementation, input,
+     * nonce_base, budget); `nonce_bases` and `out` have one entry
+     * per input.
      *
      * The iteration order is the batch win: implementation-major, so
      * each resident executor (and its decoded module, warm arena, and
      * branch-predictor state) runs the whole input batch back to back
      * instead of being interleaved k ways per input. With jobs > 1
      * the batch becomes k tasks — one per implementation, each
-     * serial over the inputs — one pool dispatch instead of one per
-     * input.
+     * serial over the inputs — one pool dispatch per batch.
      */
-    void runBatch(const std::vector<support::Bytes> &inputs,
-                  const std::vector<std::uint64_t> &nonce_bases,
+    void runBatch(std::span<const support::Bytes> inputs,
+                  std::span<const std::uint64_t> nonce_bases,
                   std::uint64_t budget,
                   const OutputNormalizer &normalizer,
-                  std::vector<std::vector<Observation>> &out);
+                  std::span<DiffResult> out);
 
     /**
      * Retarget every resident executor at a new per-implementation

@@ -118,39 +118,22 @@ Fuzzer::executeOne(Bytes input, std::size_t depth)
     if (!diffEngine_)
         return;
 
-    if (oracleBatchActive_) {
-        // Defer the k-way oracle round: the queue drains through
-        // DiffEngine::runBatch at the next observation point (plot
-        // sample, safe point, end of run), implementation-major so
-        // each resident binary runs the batch back to back.
-        // nonceCounter_ == stats_.execs here, so the recorded exec
-        // index doubles as the oracle nonce base — the same value
-        // restoreState() replays the record under.
-        pendingDiffs_.push_back(
-            {std::move(input), nonceCounter_, result.probes});
-        return;
-    }
-
-    auto diff = diffEngine_->runInput(input, nonceCounter_);
-
-    // Optional NEZHA-style feedback: a new behavior-class partition
-    // is as interesting as new coverage. Feedback mutates the corpus
-    // per execution, which is why the batch path above is never
-    // taken when it is enabled.
-    if (options_.divergenceFeedback) {
-        support::HashCombiner partition;
-        for (std::size_t cls : diff.classOf)
-            partition.add(cls);
-        if (partitionsSeen_.insert(partition.digest()).second &&
-            partitionsSeen_.size() > 1) {
-            corpus_.push_back({input, coverage_.countBits(),
-                               stats_.execs,
-                               static_cast<int>(depth) + 1});
-        }
-    }
-
-    recordDiffOutcome(input, std::move(diff), result.probes,
-                      stats_.execs);
+    // Defer the k-way oracle round: the queue drains through
+    // DiffEngine::runBatch at the next observation point (plot
+    // sample, safe point, end of run), implementation-major so each
+    // resident binary runs the batch back to back. nonceCounter_ ==
+    // stats_.execs here, so the recorded exec index doubles as the
+    // oracle nonce base — the same value restoreState() replays the
+    // record under.
+    const bool feedback = options_.divergenceFeedback;
+    pendingDiffs_.push_back({std::move(input), nonceCounter_,
+                             result.probes,
+                             feedback ? coverage_.countBits() : 0,
+                             static_cast<int>(depth) + 1});
+    // Divergence feedback folds the oracle result into the corpus
+    // before the next mutation: a batch of one, flushed now.
+    if (feedback)
+        flushDiffBatch();
 }
 
 void
@@ -197,8 +180,7 @@ Fuzzer::recordDiffOutcome(const Bytes &input, core::DiffResult diff,
         diffs_.push_back({input, std::move(diff), exec_index, probes,
                           signature, semantic_key, {}});
         // max(), not assignment: a batch flush can record a find
-        // after later executions already advanced the clock, and
-        // the serial path's monotone assignments are the same value.
+        // after later executions already advanced the clock.
         stats_.lastFindExec =
             std::max(stats_.lastFindExec, exec_index);
         stats_.lastDiffExec =
@@ -256,9 +238,21 @@ Fuzzer::flushDiffBatch()
     }
     auto results = diffEngine_->runBatch(inputs, nonce_bases);
     for (std::size_t i = 0; i < results.size(); i++) {
+        const PendingDiff &pending = pendingDiffs_[i];
+        // Optional NEZHA-style feedback: a new behavior-class
+        // partition is as interesting as new coverage.
+        if (options_.divergenceFeedback) {
+            support::HashCombiner partition;
+            for (std::size_t cls : results[i].classOf)
+                partition.add(cls);
+            if (partitionsSeen_.insert(partition.digest()).second &&
+                partitionsSeen_.size() > 1) {
+                corpus_.push_back({inputs[i], pending.coverageBits,
+                                   pending.execIndex, pending.depth});
+            }
+        }
         recordDiffOutcome(inputs[i], std::move(results[i]),
-                          pendingDiffs_[i].probes,
-                          pendingDiffs_[i].execIndex);
+                          pending.probes, pending.execIndex);
     }
     pendingDiffs_.clear();
 }
@@ -281,7 +275,7 @@ Fuzzer::importSeeds(const std::vector<Bytes> &inputs)
     // Imports happen at safe points (fleet sync inside the iteration
     // hook): complete their deferred oracle runs before returning so
     // the caller — which may checkpoint next — sees fully triaged
-    // state, exactly as the serial path would leave it.
+    // state.
     flushDiffBatch();
     return imported;
 }
@@ -310,14 +304,6 @@ Fuzzer::run()
     // and re-running the epilogue would duplicate the final plot row.
     if (resumed_ && stats_.execs >= options_.maxExecs)
         return stats_;
-
-    // Batch the oracle whenever its results cannot influence fuzzing
-    // decisions (divergence feedback folds oracle results back into
-    // the corpus, so it stays serial). Every observation point below
-    // flushes first, which keeps plot rows, checkpoints, and final
-    // stats bit-identical to the serial oracle.
-    oracleBatchActive_ = diffEngine_ && options_.oracleBatch &&
-                         !options_.divergenceFeedback;
 
     const auto sample_plot = [&] {
         plot_.addRow({stats_.execs, corpus_.size(), crashes_.size(),
@@ -381,7 +367,6 @@ Fuzzer::run()
     }
 
     flushDiffBatch();
-    oracleBatchActive_ = false;
     stats_.seeds = corpus_.size();
     stats_.crashes = crashes_.size();
     stats_.diffs = diffs_.size();
@@ -515,8 +500,8 @@ Fuzzer::restoreState(const FuzzerState &state)
     // original DiffResult / crash report bit for bit.
     diffs_.clear();
     diffSignatures_.clear();
-    for (const auto &record : state.diffs) {
-        if (sanOracle_) {
+    if (sanOracle_) {
+        for (const auto &record : state.diffs) {
             // Re-classify under the recorded nonce and pick the
             // finding the signature names — bit-exact, because the
             // classification is a pure function of (program, input,
@@ -544,16 +529,29 @@ Fuzzer::restoreState(const FuzzerState &state)
             }
             diffSignatures_[record.signature] = diffs_.size();
             diffs_.push_back(std::move(diff));
-            continue;
         }
-        auto diff = diffEngine_->runInput(record.input,
-                                          record.execIndex);
-        const std::uint64_t semantic_key = semdiff::semanticKeyOf(
-            canonFingerprint_, reduce::divergenceSignature(diff));
-        diffSignatures_[record.signature] = diffs_.size();
-        diffs_.push_back({record.input, std::move(diff),
-                          record.execIndex, record.probes,
-                          record.signature, semantic_key, {}});
+    } else if (!state.diffs.empty()) {
+        // One batch re-derives every recorded divergence.
+        std::vector<Bytes> inputs;
+        std::vector<std::uint64_t> nonce_bases;
+        inputs.reserve(state.diffs.size());
+        nonce_bases.reserve(state.diffs.size());
+        for (const auto &record : state.diffs) {
+            inputs.push_back(record.input);
+            nonce_bases.push_back(record.execIndex);
+        }
+        auto results = diffEngine_->runBatch(inputs, nonce_bases);
+        for (std::size_t i = 0; i < results.size(); i++) {
+            const auto &record = state.diffs[i];
+            const std::uint64_t semantic_key = semdiff::semanticKeyOf(
+                canonFingerprint_,
+                reduce::divergenceSignature(results[i]));
+            diffSignatures_[record.signature] = diffs_.size();
+            diffs_.push_back({std::move(inputs[i]),
+                              std::move(results[i]), record.execIndex,
+                              record.probes, record.signature,
+                              semantic_key, {}});
+        }
     }
     crashes_.clear();
     crashSignatures_.clear();

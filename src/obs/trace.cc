@@ -213,7 +213,13 @@ TraceRecorder::flameSummary() const
                                          ? agg.totalUs / agg.calls
                                          : 0)});
     }
-    return table.str();
+    std::string out = table.str();
+    if (const std::uint64_t lost = dropped(); lost > 0) {
+        out += std::to_string(lost) +
+               " events dropped (trace ring full): totals cover only "
+               "the retained window\n";
+    }
+    return out;
 }
 
 Span::Span(std::string_view name)

@@ -72,7 +72,8 @@ class TraceRecorder
     std::string chromeTraceJson() const;
 
     /** Per-name aggregate (calls, total/avg duration), sorted by
-     *  total duration descending. */
+     *  total duration descending; ends with a line naming the
+     *  dropped count when the ring overflowed. */
     std::string flameSummary() const;
 
     void append(TraceEvent event);

@@ -205,16 +205,23 @@ reduceRecords(const minic::Program &program,
     witnesses.reserve(records.size());
     if (!records.empty()) {
         // One serial engine re-derives every record's campaign-time
-        // diff (pure function of input and exec index); the per-
-        // witness oracles below then own their reductions.
+        // diff in one batch (pure function of input and exec index);
+        // the per-witness oracles below then own their reductions.
         core::DiffOptions diff_options = options.diffOptions;
         diff_options.jobs = 1;
         core::DiffEngine engine(program, impls, diff_options);
+        std::vector<support::Bytes> inputs;
+        std::vector<std::uint64_t> nonce_bases;
+        inputs.reserve(records.size());
+        nonce_bases.reserve(records.size());
         for (const auto &record : records) {
-            witnesses.push_back(
-                {record.input,
-                 engine.runInput(record.input, record.execIndex)});
+            inputs.push_back(record.input);
+            nonce_bases.push_back(record.execIndex);
         }
+        auto results = engine.runBatch(inputs, nonce_bases);
+        for (std::size_t i = 0; i < records.size(); i++)
+            witnesses.push_back(
+                {std::move(inputs[i]), std::move(results[i])});
     }
     return reduceAndReport(program, impls, witnesses, options);
 }

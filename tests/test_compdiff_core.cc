@@ -207,7 +207,7 @@ TEST(DiffEngine, TimeoutRetryResolvesPartialTimeout)
     EXPECT_FALSE(raw.divergent);
 }
 
-TEST(DiffEngine, FindDivergenceScansInputs)
+TEST(DiffEngine, RunBatchFlagsOnlyTheDivergentInput)
 {
     auto program = minic::parseAndCheck(R"(
         int main() {
@@ -221,10 +221,12 @@ TEST(DiffEngine, FindDivergenceScansInputs)
         }
     )");
     DiffEngine engine(*program);
-    std::vector<support::Bytes> inputs = {{1}, {2}, {7}, {9}};
-    auto hit = engine.findDivergence(inputs);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(hit->divergent);
+    const std::vector<support::Bytes> inputs = {{1}, {2}, {7}, {9}};
+    const std::vector<std::uint64_t> nonce_bases = {0, 1, 2, 3};
+    const auto results = engine.runBatch(inputs, nonce_bases);
+    ASSERT_EQ(results.size(), inputs.size());
+    for (std::size_t b = 0; b < inputs.size(); b++)
+        EXPECT_EQ(results[b].divergent, inputs[b][0] == 7) << b;
 }
 
 TEST(DiffEngine, SubsetQueries)

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "compdiff/localize.hh"
 #include "fuzz/fuzzer.hh"
 #include "minic/parser.hh"
+#include "targets/targets.hh"
 
 namespace
 {
@@ -221,6 +225,56 @@ TEST(DivergenceFeedback, GrowsCorpusOnNewPartitions)
     EXPECT_GE(stats.diffs, 1u);
     EXPECT_GE(base.diffs, 1u);
     EXPECT_GE(stats.seeds, base.seeds);
+
+    // Feedback drains the oracle queue as a batch of one right after
+    // each execution; the campaign it steers is pinned exactly.
+    EXPECT_EQ(stats.execs, 3000u);
+    EXPECT_EQ(stats.compdiffExecs, 30000u);
+    EXPECT_EQ(stats.seeds, 5u);
+    EXPECT_EQ(stats.crashes, 0u);
+    EXPECT_EQ(stats.diffs, 1u);
+    EXPECT_EQ(stats.edges, 7u);
+    EXPECT_EQ(stats.lastFindExec, 214u);
+    EXPECT_EQ(stats.lastDiffExec, 214u);
+    std::vector<std::uint64_t> exec_indices;
+    for (const auto &diff : guided.diffs())
+        exec_indices.push_back(diff.execIndex);
+    EXPECT_EQ(exec_indices, (std::vector<std::uint64_t>{214}));
+}
+
+TEST(DivergenceFeedback, PktdumpCampaignIsPinned)
+{
+    // The gated program above saturates after one novel partition,
+    // so feedback applied a few executions late would not show there.
+    // On pktdump every partition steers the corpus: a feedback
+    // campaign must fold each oracle result in before the next
+    // mutation to reproduce these figures, at any worker count.
+    const auto &target = *targets::findTarget("pktdump");
+    auto program = minic::parseAndCheck(target.source);
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        fuzz::FuzzOptions options;
+        options.maxExecs = 1500;
+        options.jobs = jobs;
+        options.divergenceFeedback = true;
+        fuzz::Fuzzer fuzzer(*program, target.seeds, options);
+        const auto stats = fuzzer.run();
+        EXPECT_EQ(stats.execs, 1500u) << jobs;
+        EXPECT_EQ(stats.compdiffExecs, 15000u) << jobs;
+        EXPECT_EQ(stats.seeds, 67u) << jobs;
+        EXPECT_EQ(stats.crashes, 0u) << jobs;
+        EXPECT_EQ(stats.diffs, 15u) << jobs;
+        EXPECT_EQ(stats.edges, 84u) << jobs;
+        EXPECT_EQ(stats.lastFindExec, 1244u) << jobs;
+        EXPECT_EQ(stats.lastDiffExec, 486u) << jobs;
+        std::vector<std::uint64_t> exec_indices;
+        for (const auto &diff : fuzzer.diffs())
+            exec_indices.push_back(diff.execIndex);
+        EXPECT_EQ(exec_indices,
+                  (std::vector<std::uint64_t>{1, 3, 10, 15, 27, 29, 30,
+                                              31, 68, 100, 102, 107,
+                                              134, 207, 486}))
+            << jobs;
+    }
 }
 
 } // namespace

@@ -188,6 +188,8 @@ TEST_F(Obs, ChromeTraceJsonIsWellFormed)
     const std::string flame =
         TraceRecorder::global().flameSummary();
     EXPECT_NE(flame.find("child"), std::string::npos);
+    // Nothing overflowed, so the summary claims no truncation.
+    EXPECT_EQ(flame.find("dropped"), std::string::npos);
 }
 
 TEST_F(Obs, RingBufferPinsHeadAndKeepsTail)
@@ -204,6 +206,13 @@ TEST_F(Obs, RingBufferPinsHeadAndKeepsTail)
     EXPECT_EQ(events[0].name, "span0");
     // ...and so does the most recent event.
     EXPECT_EQ(events.back().name, "span199");
+    // The flame summary says it is built from a truncated window.
+    const std::string dropped_line =
+        std::to_string(TraceRecorder::global().dropped()) +
+        " events dropped (trace ring full): totals cover only the "
+        "retained window\n";
+    const std::string flame = TraceRecorder::global().flameSummary();
+    EXPECT_TRUE(flame.ends_with(dropped_line)) << flame;
     TraceRecorder::global().setCapacity(65536);
 }
 
