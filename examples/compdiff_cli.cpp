@@ -5,63 +5,8 @@
  *
  *   ./build/examples/compdiff_cli [options] [prog.mc [input-file]]
  *
- * Options (observability, see DESIGN.md "Observability"):
- *   --impls=SPECS       the oracle: comma-separated implementation
- *                       specs ("gcc:-O2", "clang:-Os:ubsan", "ref")
- *                       or the aliases "paper10" (default — the
- *                       paper's ten) and "all" (paper10 + the
- *                       reference interpreter); see DESIGN.md §7
- *   --mode=sancheck     flip the oracle: instead of differential
- *                       testing, certify each input's UB-ness with
- *                       the reference interpreter and classify
- *                       per-sanitizer false negatives / false
- *                       positives (DESIGN.md §14). With no program
- *                       argument the built-in `sanlab` target runs.
- *   --san-impls=SPECS   sanitized implementations for
- *                       --mode=sancheck (default: the sancheck
- *                       subsystem's standard four)
- *   --fuzz[=N]          run a CompDiff-AFL++ campaign (default
- *                       20000 execs) instead of a single input
- *   --target=NAME       fuzz a built-in campaign target (pktdump,
- *                       elfread, ...) instead of a program file;
- *                       uses the target's official seeds
- *   --reduce[=BUDGET]   after a --fuzz campaign, minimize every
- *                       unique divergence (ddmin the input, shrink
- *                       the program) under a per-divergence oracle
- *                       budget (default 4096 candidates)
- *   --reports-out=DIR   bundle each reduced divergence under
- *                       DIR/sig-<hex>/ (program.mc, input.bin,
- *                       witness.bin, report.md), keyed by the
- *                       semantic key; witnesses whose minimized
- *                       programs canonicalize identically merge
- *                       into one bundle (variants/ subdirs)
- *   --jobs=N            worker threads (0 = hardware); results are
- *                       bit-identical for every value
- *   --shards=N          split a --fuzz campaign into N deterministic
- *                       shards (this *does* change the campaign;
- *                       see DESIGN.md "Parallel execution")
- *   --session=DIR       persist the --fuzz campaign as a crash-safe
- *                       session under DIR (checkpoint journals,
- *                       manifest, cumulative stats; DESIGN.md §10)
- *   --resume            continue the session in --session=DIR from
- *                       its last checkpoint (the configuration must
- *                       match the persisted campaign exactly)
- *   --checkpoint-every=N  checkpoint every N shard executions
- *                       (default: a twentieth of the budget)
- *   --halt-after=N      stop each shard at its first safe point at
- *                       or beyond N executions (testing/interrupt
- *                       hook; resume finishes the campaign)
- *   --heartbeat-every=S shard heartbeat cadence in seconds
- *                       (display/health only; default 1)
- *   --cache-entries=N   bound the compile cache to N modules (LRU;
- *                       watch cache.hit/miss/evict in --metrics-out)
- *   --stats-out=FILE    write an AFL++-style fuzzer_stats snapshot
- *   --plot-out=FILE     write an AFL++-style plot_data time series
- *   --trace-out=FILE    write Chrome-trace JSON (chrome://tracing)
- *   --metrics-out=FILE  write the metrics registry as JSONL
- *   --flame             print the span flame summary to stdout
- *   --quiet             silence warn()/inform() notices
- *   --validate-json=F   check that F parses as JSON and exit
+ * Run it with --help for the options; the help text is generated
+ * from the flag table in parseArgs().
  *
  * With no program argument it writes a demo program to /tmp and
  * analyzes that, so it is safe to run from the bench/example sweep.
@@ -72,9 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -94,20 +36,13 @@
 #include "sancheck/sancheck.hh"
 #include "session/session.hh"
 #include "support/bytes.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 #include "targets/targets.hh"
 
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 const char *kDemoProgram = R"(// demo: unstable overflow guard
 int check_range(int offset, int len) {
@@ -128,70 +63,20 @@ int main() {
 }
 )";
 
-const char *kUsage =
-    "usage: compdiff_cli [options] [prog.mc [input-file]]\n"
-    "\n"
-    "  --impls=SPECS         oracle implementation specs, or the\n"
-    "                        aliases \"paper10\" (default) / \"all\"\n"
-    "  --mode=sancheck       sanitizer-checking oracle: certify UB\n"
-    "                        with the reference interpreter and\n"
-    "                        classify sanitizer FN/FP findings\n"
-    "  --san-impls=SPECS     sanitized implementations for\n"
-    "                        --mode=sancheck (default: the standard\n"
-    "                        four)\n"
-    "  --fuzz[=N]            run a fuzz campaign (default 20000\n"
-    "                        execs) instead of a single input\n"
-    "  --target=NAME         fuzz a built-in target (pktdump, ...)\n"
-    "  --reduce[=BUDGET]     minimize each unique divergence found\n"
-    "  --reports-out=DIR     bundle reduced divergences under DIR\n"
-    "                        (semantically equal witnesses merge\n"
-    "                        into one bundle)\n"
-    "  --jobs=N              worker threads (never changes results)\n"
-    "  --shards=N            deterministic campaign shards\n"
-    "  --session=DIR         persist the campaign as a crash-safe\n"
-    "                        session under DIR\n"
-    "  --resume              continue the session in --session=DIR\n"
-    "  --checkpoint-every=N  checkpoint every N shard executions\n"
-    "  --halt-after=N        stop each shard at the first safe\n"
-    "                        point at or beyond N executions\n"
-    "  --heartbeat-every=S   shard heartbeat cadence in seconds\n"
-    "                        (display/health only; default 1)\n"
-    "  --cache-entries=N     bound the compile cache to N modules\n"
-    "                        (LRU eviction; 0 = unbounded)\n"
-    "  --stats-out=FILE      AFL++-style fuzzer_stats snapshot\n"
-    "  --plot-out=FILE       AFL++-style plot_data time series\n"
-    "  --trace-out=FILE      Chrome-trace JSON\n"
-    "  --metrics-out=FILE    metrics registry as JSONL\n"
-    "  --flame               print the span flame summary\n"
-    "  --quiet               silence warn()/inform() notices\n"
-    "  --validate-json=F     check that F parses as JSON and exit\n"
-    "  --help                show this text\n"
-    "\n"
-    "With no program argument, analyzes a built-in demo program.\n";
-
 /** Parsed command line. */
 struct CliOptions
 {
     std::string impls = "paper10";
-    bool sancheck = false;
+    std::string mode = "diff";
     std::string sanImpls;
     bool fuzz = false;
-    std::uint64_t fuzzExecs = 20'000;
     std::string target;
-    bool reduce = false;
-    std::uint64_t reduceBudget = 4096;
-    std::string reportsOut;
-    std::size_t jobs = 1;
-    std::size_t shards = 1;
-    std::string sessionDir;
-    bool resume = false;
-    std::uint64_t checkpointEvery = 0;
-    std::uint64_t haltAfter = 0;
-    double heartbeatSecs = 1.0;
+    std::uint64_t jobs = 1;
+    std::uint64_t shards = 1;
+    /** Campaign budget, files, persistence and triage knobs. */
+    compdiff::session::SessionConfig session;
     bool cacheLimitSet = false;
-    std::size_t cacheEntries = 0;
-    std::string statsOut;
-    std::string plotOut;
+    std::uint64_t cacheEntries = 0;
     std::string traceOut;
     std::string metricsOut;
     bool flame = false;
@@ -199,108 +84,82 @@ struct CliOptions
     std::string validateJson;
     std::vector<std::string> positional;
 
+    bool sancheck() const { return mode == "sancheck"; }
+
     bool wantsTelemetry() const
     {
-        return !statsOut.empty() || !plotOut.empty() ||
-               !traceOut.empty() || !metricsOut.empty() || flame;
+        return !session.fuzz.statsOutPath.empty() ||
+               !session.fuzz.plotOutPath.empty() || !traceOut.empty() ||
+               !metricsOut.empty() || flame;
     }
 };
-
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
-{
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
-}
 
 CliOptions
 parseArgs(int argc, char **argv)
 {
-    CliOptions options;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--fuzz") {
-            options.fuzz = true;
-        } else if (matchFlag(arg, "--impls", &value)) {
-            options.impls = value;
-        } else if (matchFlag(arg, "--mode", &value)) {
-            if (value != "sancheck" && value != "diff") {
-                std::fprintf(stderr, "unknown mode %s\n\n%s",
-                             value.c_str(), kUsage);
-                std::exit(2);
-            }
-            options.sancheck = value == "sancheck";
-        } else if (matchFlag(arg, "--san-impls", &value)) {
-            options.sanImpls = value;
-        } else if (matchFlag(arg, "--fuzz", &value)) {
-            options.fuzz = true;
-            options.fuzzExecs = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (arg == "--reduce") {
-            options.reduce = true;
-        } else if (matchFlag(arg, "--reduce", &value)) {
-            options.reduce = true;
-            options.reduceBudget = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--reports-out", &value)) {
-            options.reportsOut = value;
-        } else if (matchFlag(arg, "--target", &value)) {
-            options.target = value;
-        } else if (matchFlag(arg, "--jobs", &value)) {
-            options.jobs = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--shards", &value)) {
-            options.shards = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--session", &value)) {
-            options.sessionDir = value;
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (matchFlag(arg, "--checkpoint-every", &value)) {
-            options.checkpointEvery = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--halt-after", &value)) {
-            options.haltAfter = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--heartbeat-every", &value)) {
-            options.heartbeatSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--cache-entries", &value)) {
-            options.cacheLimitSet = true;
-            options.cacheEntries = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--stats-out", &value)) {
-            options.statsOut = value;
-        } else if (matchFlag(arg, "--plot-out", &value)) {
-            options.plotOut = value;
-        } else if (matchFlag(arg, "--trace-out", &value)) {
-            options.traceOut = value;
-        } else if (matchFlag(arg, "--metrics-out", &value)) {
-            options.metricsOut = value;
-        } else if (arg == "--flame") {
-            options.flame = true;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (matchFlag(arg, "--validate-json", &value)) {
-            options.validateJson = value;
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        } else {
-            options.positional.push_back(arg);
-        }
-    }
-    return options;
+    using compdiff::support::Flag;
+    CliOptions o;
+    auto &triage = o.session.triage;
+    const compdiff::support::FlagSet flags(
+        "compdiff_cli [options] [prog.mc [input-file]]",
+        {{"",
+          {
+              Flag("--impls=SPECS", &o.impls,
+                   "the oracle: implementation specs (\"gcc:-O2\", "
+                   "\"clang:-Os:ubsan\", \"ref\") or the aliases "
+                   "\"paper10\" / \"all\" (paper10 plus ref)"),
+              Flag("--mode=diff|sancheck", &o.mode,
+                   "sancheck: certify UB with the reference interpreter "
+                   "and classify sanitizer FN/FP findings"),
+              Flag("--san-impls=SPECS", &o.sanImpls,
+                   "sanitized implementations for --mode=sancheck "
+                   "(default: the standard four)"),
+              Flag("--fuzz[=N]", &o.session.fuzz.maxExecs,
+                   "run a fuzz campaign instead of a single input",
+                   &o.fuzz),
+              Flag("--target=NAME", &o.target,
+                   "fuzz a built-in target (pktdump, ...)"),
+              Flag("--reduce[=BUDGET]", &triage.candidateBudget,
+                   "minimize each unique divergence found",
+                   &triage.reduceFound),
+              Flag("--reports-out=DIR", &triage.reportsDir,
+                   "bundle reduced divergences under DIR (semantically "
+                   "equal witnesses merge into one bundle)"),
+              Flag("--jobs=N", &o.jobs,
+                   "worker threads, 0 = hardware (never changes results)")
+                  .atMost(compdiff::support::kMaxWorkerCount),
+              Flag("--shards=N", &o.shards, "deterministic campaign shards"),
+              Flag("--session=DIR", &o.session.dir,
+                   "persist the campaign as a crash-safe session under DIR"),
+              Flag("--resume", &o.session.resume,
+                   "continue the session in --session=DIR"),
+              Flag("--checkpoint-every=N", &o.session.checkpointEvery,
+                   "checkpoint every N shard executions"),
+              Flag("--halt-after=N", &o.session.haltAfterExecs,
+                   "stop each shard at the first safe point at or beyond "
+                   "N executions"),
+              Flag("--heartbeat-every=S", &o.session.heartbeatSecs,
+                   "shard heartbeat cadence in seconds (display/health "
+                   "only)"),
+              Flag("--cache-entries=N", &o.cacheEntries,
+                   "bound the compile cache to N modules (LRU eviction; "
+                   "0 = unbounded)",
+                   &o.cacheLimitSet),
+              Flag("--stats-out=FILE", &o.session.fuzz.statsOutPath,
+                   "AFL++-style fuzzer_stats snapshot"),
+              Flag("--plot-out=FILE", &o.session.fuzz.plotOutPath,
+                   "AFL++-style plot_data time series"),
+              Flag("--trace-out=FILE", &o.traceOut, "Chrome-trace JSON"),
+              Flag("--metrics-out=FILE", &o.metricsOut,
+                   "metrics registry as JSONL"),
+              Flag("--flame", &o.flame, "print the span flame summary"),
+              Flag("--quiet", &o.quiet, "silence warn()/inform() notices"),
+              Flag("--validate-json=F", &o.validateJson,
+                   "check that F parses as JSON and exit"),
+          }}},
+        "With no program argument, analyzes a built-in demo program.\n");
+    o.positional = flags.parseOrExit({argv + 1, argv + argc}).positional;
+    return o;
 }
 
 /** Flush requested telemetry files at exit (any mode). */
@@ -333,8 +192,11 @@ runFuzzMode(const compdiff::minic::Program &program,
 {
     using namespace compdiff;
 
-    fuzz::FuzzOptions fuzz_options;
-    if (options.sancheck) {
+    // The session owns the whole lifecycle; with --session=DIR it
+    // persists checkpoints there, otherwise it runs ephemerally.
+    session::SessionConfig session_config = options.session;
+    fuzz::FuzzOptions &fuzz_options = session_config.fuzz;
+    if (options.sancheck()) {
         fuzz_options.sancheckMode = true;
         if (!options.sanImpls.empty()) {
             fuzz_options.sancheckImpls =
@@ -346,25 +208,9 @@ runFuzzMode(const compdiff::minic::Program &program,
             core::ImplementationRegistry::global().parse(
                 options.impls);
     }
-    fuzz_options.maxExecs = options.fuzzExecs;
-    fuzz_options.statsOutPath = options.statsOut;
-    fuzz_options.plotOutPath = options.plotOut;
     fuzz_options.jobs = options.jobs;
-
-    // The session owns the whole lifecycle; with --session=DIR it
-    // persists checkpoints there, otherwise it runs ephemerally.
-    session::SessionConfig session_config;
-    session_config.dir = options.sessionDir;
-    session_config.resume = options.resume;
-    session_config.checkpointEvery = options.checkpointEvery;
-    session_config.haltAfterExecs = options.haltAfter;
-    session_config.heartbeatSecs = options.heartbeatSecs;
-    session_config.fuzz = fuzz_options;
     session_config.shards = options.shards;
     session_config.jobs = options.jobs;
-    session_config.triage.reduceFound = options.reduce;
-    session_config.triage.candidateBudget = options.reduceBudget;
-    session_config.triage.reportsDir = options.reportsOut;
 
     session::CampaignSession session(program, seeds,
                                      session_config);
@@ -379,11 +225,11 @@ runFuzzMode(const compdiff::minic::Program &program,
                     "finish the campaign\n",
                     static_cast<unsigned long long>(
                         sharded.total.execs),
-                    options.sessionDir.c_str());
+                    options.session.dir.c_str());
         exportTelemetry(options);
         return 0;
     }
-    if (options.sancheck) {
+    if (options.sancheck()) {
         for (const auto &diff : sharded.diffs) {
             std::printf("\nfinding at exec %llu "
                         "(%zu-byte input):\n  %s\n",
@@ -468,7 +314,7 @@ main(int argc, char **argv)
     const CliOptions options = parseArgs(argc, argv);
 
     if (!options.validateJson.empty()) {
-        const std::string text = readFile(options.validateJson);
+        const std::string text = support::readFile(options.validateJson);
         if (text.empty()) {
             std::fprintf(stderr, "cannot read %s\n",
                          options.validateJson.c_str());
@@ -511,13 +357,13 @@ main(int argc, char **argv)
         if (!seeds.empty())
             input = seeds.front();
     } else if (!options.positional.empty()) {
-        source = readFile(options.positional[0]);
+        source = support::readFile(options.positional[0]);
         if (source.empty()) {
             std::fprintf(stderr, "cannot read %s\n",
                          options.positional[0].c_str());
             return 2;
         }
-    } else if (options.sancheck) {
+    } else if (options.sancheck()) {
         std::printf("no program given; running the built-in sanlab "
                     "target (see DESIGN.md section 14)\n\n");
         source = sancheck::sanlabSource();
@@ -531,7 +377,7 @@ main(int argc, char **argv)
         input = {10, 50}; // offset INT_MAX-10, len 50: overflows
     }
     if (options.target.empty() && options.positional.size() > 1) {
-        const std::string raw = readFile(options.positional[1]);
+        const std::string raw = support::readFile(options.positional[1]);
         input.assign(raw.begin(), raw.end());
     }
     if (seeds.empty() && !input.empty())
@@ -555,7 +401,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (options.sancheck) {
+    if (options.sancheck()) {
         sancheck::SanCheckOracle oracle(
             *program,
             options.sanImpls.empty()

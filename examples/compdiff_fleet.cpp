@@ -16,38 +16,8 @@
  * byte-identical to a single-process run (kill one and watch:
  * `kill -9 $(awk '/^pid/{print $3}' /tmp/fleet/shard-0.lease)`).
  *
- * Campaign flags (forwarded verbatim to workers):
- *   --target=NAME / prog.mc   what to fuzz (built-in target, or a
- *                             MiniC source file)
- *   --impls=SPECS             the oracle (default "paper10")
- *   --fuzz=N                  campaign budget in executions
- *   --shards=N                deterministic campaign shards (the
- *                             unit of distribution — use >= workers)
- *   --jobs=N                  threads per worker (never changes
- *                             results)
- *   --checkpoint-every=N      shard checkpoint cadence in execs
- *   --heartbeat-every=S       shard heartbeat cadence in seconds
- *   --sync-every=S            cross-worker corpus sync cadence in
- *                             seconds (0 = off; syncing trades the
- *                             bit-identity guarantee for coverage
- *                             sharing — see src/fleet/fleet.hh)
- *   --quiet                   silence warn()/inform() notices
- *
- * Coordinator flags:
- *   --workers=N               worker process slots (default 2);
- *                             elastic — rerun with a higher N and
- *                             late joiners pick up unleased shards
- *   --deadline=S              wall-clock budget: SIGTERM workers at
- *                             S seconds (they checkpoint and exit;
- *                             rerun the same command to continue)
- *   --poll-every=S            supervision poll interval (default .2)
- *   --status-every=S          print the aggregated monitor table
- *                             every S seconds (0 = off)
- *   --dead-after=S            heartbeat age that marks a worker hung
- *                             (SIGKILL + revive; default 30)
- *   --max-spawns=N            per-shard spawn cap (crash-loop brake)
- *   --reduce[=BUDGET]         triage divergences after completion
- *   --reports-out=DIR         bundle reduced divergences under DIR
+ * Run it with --help for the options. The campaign flags (and the
+ * program argument) reach every worker exactly as they were typed.
  *
  * Exit codes: 0 campaign complete and stable, 1 complete with
  * divergences, 2 usage/session error, 4 deadline hit (incomplete,
@@ -57,9 +27,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,47 +34,13 @@
 #include "fleet/fleet.hh"
 #include "minic/parser.hh"
 #include "obs/stats.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 #include "targets/targets.hh"
 
 namespace
 {
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-const char *kUsage =
-    "usage: compdiff_fleet [options] [prog.mc]\n"
-    "\n"
-    "campaign (forwarded to workers):\n"
-    "  --target=NAME         fuzz a built-in target (pktdump, ...)\n"
-    "  --impls=SPECS         oracle specs or \"paper10\"/\"all\"\n"
-    "  --fuzz=N              campaign budget in executions\n"
-    "  --shards=N            deterministic shards (>= workers)\n"
-    "  --jobs=N              threads per worker\n"
-    "  --checkpoint-every=N  shard checkpoint cadence in execs\n"
-    "  --heartbeat-every=S   heartbeat cadence in seconds\n"
-    "  --sync-every=S        cross-worker corpus sync cadence\n"
-    "                        (0 = off; forfeits bit-identity)\n"
-    "  --session=DIR         session directory (required)\n"
-    "  --quiet               silence warn()/inform() notices\n"
-    "\n"
-    "coordinator:\n"
-    "  --workers=N           worker process slots (default 2)\n"
-    "  --deadline=S          wall-clock budget in seconds\n"
-    "  --poll-every=S        supervision poll interval\n"
-    "  --status-every=S      aggregated status table cadence\n"
-    "  --dead-after=S        heartbeat age marking a worker hung\n"
-    "  --max-spawns=N        per-shard spawn cap\n"
-    "  --reduce[=BUDGET]     triage divergences after completion\n"
-    "  --reports-out=DIR     bundle reduced divergences under DIR\n"
-    "  --help                show this text\n";
 
 struct FleetCli
 {
@@ -115,119 +48,79 @@ struct FleetCli
     std::string target;
     std::string program;
     std::string impls = "paper10";
-    std::uint64_t fuzzExecs = 20'000;
-    std::size_t shards = 1;
-    std::size_t jobs = 1;
-    std::uint64_t checkpointEvery = 0;
-    double heartbeatSecs = 1.0;
-    double syncSecs = 0;
-    std::string sessionDir;
+    std::uint64_t shards = 1;
+    std::uint64_t jobs = 1;
     bool quiet = false;
+    /** Campaign budget, cadences, directory and (coordinator) triage. */
+    compdiff::session::SessionConfig session;
+    /** The program argument and campaign flags as typed. */
+    std::vector<std::string> campaignArgs;
 
     // Coordinator side.
-    std::size_t workers = 2;
-    double deadlineSecs = 0;
-    double pollSecs = 0.2;
-    double statusSecs = 0;
-    double deadAfterSecs = 30.0;
-    std::size_t maxSpawns = 64;
-    bool reduce = false;
-    std::uint64_t reduceBudget = 4096;
-    std::string reportsOut;
+    compdiff::fleet::FleetOptions fleet;
+    std::uint64_t workers = 2;
+    std::uint64_t maxSpawns = 64;
 
     // Worker side.
     bool worker = false;
     compdiff::fleet::WorkerSpec spec;
 };
 
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
+/** The flag table; group 0 holds the flags forwarded to workers. */
+compdiff::support::FlagSet
+fleetFlags(FleetCli &o)
 {
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
-}
-
-FleetCli
-parseArgs(int argc, char **argv)
-{
-    FleetCli options;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (arg == "--worker") {
-            options.worker = true;
-        } else if (compdiff::fleet::parseWorkerArg(arg,
-                                                   &options.spec)) {
-        } else if (matchFlag(arg, "--target", &value)) {
-            options.target = value;
-        } else if (matchFlag(arg, "--impls", &value)) {
-            options.impls = value;
-        } else if (matchFlag(arg, "--fuzz", &value)) {
-            options.fuzzExecs = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--shards", &value)) {
-            options.shards = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--jobs", &value)) {
-            options.jobs = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--checkpoint-every", &value)) {
-            options.checkpointEvery = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--heartbeat-every", &value)) {
-            options.heartbeatSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--sync-every", &value)) {
-            options.syncSecs = std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--session", &value)) {
-            options.sessionDir = value;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (matchFlag(arg, "--workers", &value)) {
-            options.workers = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--deadline", &value)) {
-            options.deadlineSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--poll-every", &value)) {
-            options.pollSecs = std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--status-every", &value)) {
-            options.statusSecs = std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--dead-after", &value)) {
-            options.deadAfterSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--max-spawns", &value)) {
-            options.maxSpawns = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (arg == "--reduce") {
-            options.reduce = true;
-        } else if (matchFlag(arg, "--reduce", &value)) {
-            options.reduce = true;
-            options.reduceBudget = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--reports-out", &value)) {
-            options.reportsOut = value;
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        } else if (options.program.empty()) {
-            options.program = arg;
-        } else {
-            std::fprintf(stderr, "unexpected argument %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        }
-    }
-    return options;
+    using compdiff::support::Flag;
+    using compdiff::support::kMaxWorkerCount;
+    auto &triage = o.session.triage;
+    return compdiff::support::FlagSet(
+        "compdiff_fleet [options] [prog.mc]",
+        {{"campaign (forwarded to workers)",
+          {
+              Flag("--target=NAME", &o.target,
+                   "fuzz a built-in target (pktdump, ...)"),
+              Flag("--impls=SPECS", &o.impls,
+                   "oracle specs or \"paper10\"/\"all\""),
+              Flag("--fuzz=N", &o.session.fuzz.maxExecs,
+                   "campaign budget in executions"),
+              Flag("--shards=N", &o.shards,
+                   "deterministic shards (>= workers)"),
+              Flag("--jobs=N", &o.jobs, "threads per worker")
+                  .atMost(kMaxWorkerCount),
+              Flag("--checkpoint-every=N", &o.session.checkpointEvery,
+                   "shard checkpoint cadence in execs"),
+              Flag("--heartbeat-every=S", &o.session.heartbeatSecs,
+                   "heartbeat cadence in seconds"),
+              Flag("--sync-every=S", &o.fleet.syncSecs,
+                   "cross-worker corpus sync cadence (0 = off; "
+                   "forfeits bit-identity)"),
+              Flag("--session=DIR", &o.session.dir,
+                   "session directory (required)"),
+              Flag("--quiet", &o.quiet, "silence warn()/inform() notices"),
+          }},
+         {"coordinator",
+          {
+              Flag("--workers=N", &o.workers, "worker process slots")
+                  .atMost(kMaxWorkerCount),
+              Flag("--deadline=S", &o.fleet.deadlineSecs,
+                   "wall-clock budget in seconds"),
+              Flag("--poll-every=S", &o.fleet.pollSecs,
+                   "supervision poll interval"),
+              Flag("--status-every=S", &o.fleet.statusSecs,
+                   "aggregated status table cadence"),
+              Flag("--dead-after=S", &o.fleet.deadAfterSecs,
+                   "heartbeat age marking a worker hung"),
+              Flag("--max-spawns=N", &o.maxSpawns, "per-shard spawn cap"),
+              Flag("--reduce[=BUDGET]", &triage.candidateBudget,
+                   "triage divergences after completion",
+                   &triage.reduceFound),
+              Flag("--reports-out=DIR", &triage.reportsDir,
+                   "bundle reduced divergences under DIR"),
+              Flag("--worker", &o.worker,
+                   "internal (set by the coordinator), as are "
+                   "--worker-shards=, --worker-index=, "
+                   "--worker-generation="),
+          }}});
 }
 
 /** This binary's path, for the worker re-exec. */
@@ -244,31 +137,13 @@ selfExecutable(const char *argv0)
     return argv0;
 }
 
-/** Re-serialize the campaign flags for the worker command line. */
+/** This binary, the campaign arguments as typed, then --worker. */
 std::vector<std::string>
 workerCommand(const FleetCli &options, const char *argv0)
 {
-    std::vector<std::string> command;
-    command.push_back(selfExecutable(argv0));
-    if (!options.target.empty())
-        command.push_back("--target=" + options.target);
-    else
-        command.push_back(options.program);
-    command.push_back("--impls=" + options.impls);
-    command.push_back("--fuzz=" +
-                      std::to_string(options.fuzzExecs));
-    command.push_back("--shards=" +
-                      std::to_string(options.shards));
-    command.push_back("--jobs=" + std::to_string(options.jobs));
-    command.push_back("--checkpoint-every=" +
-                      std::to_string(options.checkpointEvery));
-    command.push_back("--heartbeat-every=" +
-                      std::to_string(options.heartbeatSecs));
-    command.push_back("--sync-every=" +
-                      std::to_string(options.syncSecs));
-    command.push_back("--session=" + options.sessionDir);
-    if (options.quiet)
-        command.push_back("--quiet");
+    std::vector<std::string> command = {selfExecutable(argv0)};
+    command.insert(command.end(), options.campaignArgs.begin(),
+                   options.campaignArgs.end());
     command.push_back("--worker");
     return command;
 }
@@ -277,19 +152,15 @@ compdiff::session::SessionConfig
 sessionConfig(const FleetCli &options)
 {
     using namespace compdiff;
-    session::SessionConfig config;
-    config.dir = options.sessionDir;
-    config.checkpointEvery = options.checkpointEvery;
-    config.heartbeatSecs = options.heartbeatSecs;
+    session::SessionConfig config = options.session;
     config.fuzz.diffImpls =
         core::ImplementationRegistry::global().parse(options.impls);
-    config.fuzz.maxExecs = options.fuzzExecs;
     config.fuzz.jobs = options.jobs;
     config.shards = options.shards;
     config.jobs = options.jobs;
-    if (options.syncSecs > 0) {
-        config.syncPath = options.sessionDir + "/sync.journal";
-        config.syncSecs = options.syncSecs;
+    if (options.fleet.syncSecs > 0) {
+        config.syncPath = config.dir + "/sync.journal";
+        config.syncSecs = options.fleet.syncSecs;
     }
     return config;
 }
@@ -301,14 +172,27 @@ main(int argc, char **argv)
 {
     using namespace compdiff;
 
-    const FleetCli options = parseArgs(argc, argv);
+    FleetCli options;
+    const support::FlagSet flags = fleetFlags(options);
+    // The worker protocol's own flags are consumed before the table.
+    std::vector<std::string> args;
+    for (int i = 1; i < argc; i++) {
+        if (!fleet::parseWorkerArg(argv[i], &options.spec))
+            args.push_back(argv[i]);
+    }
+    const support::ParsedArgs parsed = flags.parseOrExit(args);
+    if (parsed.positional.size() > 1)
+        flags.fail("unexpected argument " + parsed.positional[1]);
+    options.campaignArgs = parsed.positional;
+    options.campaignArgs.insert(options.campaignArgs.end(),
+                                parsed.groupArgs[0].begin(),
+                                parsed.groupArgs[0].end());
+    if (!parsed.positional.empty())
+        options.program = parsed.positional[0];
     support::QuietGuard quiet(options.quiet);
 
-    if (options.sessionDir.empty()) {
-        std::fprintf(stderr,
-                     "a fleet needs --session=DIR\n\n%s", kUsage);
-        return 2;
-    }
+    if (options.session.dir.empty())
+        flags.fail("a fleet needs --session=DIR");
 
     std::string source;
     std::vector<support::Bytes> seeds;
@@ -323,18 +207,14 @@ main(int argc, char **argv)
         source = target->source;
         seeds = target->seeds;
     } else if (!options.program.empty()) {
-        source = readFile(options.program);
+        source = support::readFile(options.program);
         if (source.empty()) {
             std::fprintf(stderr, "cannot read %s\n",
                          options.program.c_str());
             return 2;
         }
     } else {
-        std::fprintf(stderr,
-                     "a fleet needs --target=NAME or a program "
-                     "file\n\n%s",
-                     kUsage);
-        return 2;
+        flags.fail("a fleet needs --target=NAME or a program file");
     }
 
     std::unique_ptr<minic::Program> program;
@@ -350,31 +230,22 @@ main(int argc, char **argv)
                                 sessionConfig(options),
                                 options.spec);
 
-    session::SessionConfig config = sessionConfig(options);
-    config.triage.reduceFound = options.reduce;
-    config.triage.candidateBudget = options.reduceBudget;
-    config.triage.reportsDir = options.reportsOut;
-
-    fleet::FleetOptions fleet_options;
+    fleet::FleetOptions fleet_options = options.fleet;
     fleet_options.workers = options.workers;
     fleet_options.workerCommand = workerCommand(options, argv[0]);
-    fleet_options.pollSecs = options.pollSecs;
-    fleet_options.deadlineSecs = options.deadlineSecs;
-    fleet_options.statusSecs = options.statusSecs;
-    fleet_options.syncSecs = options.syncSecs;
-    fleet_options.deadAfterSecs = options.deadAfterSecs;
     fleet_options.maxSpawnsPerShard = options.maxSpawns;
 
     try {
         const fleet::FleetResult result =
-            fleet::runFleet(*program, seeds, config, fleet_options);
+            fleet::runFleet(*program, seeds, sessionConfig(options),
+                            fleet_options);
         if (!result.completed) {
             std::printf(
                 "fleet deadline reached after %zu spawns (%zu "
                 "revivals); rerun the same command to continue "
                 "from the checkpoints in %s\n",
                 result.spawns, result.revivals,
-                options.sessionDir.c_str());
+                options.session.dir.c_str());
             return 4;
         }
         std::printf("%s", obs::renderFuzzerStats(result.stats)

@@ -8,23 +8,8 @@
  * MANIFEST counts, so both a single `--session=DIR` run and a whole
  * targets-mode tree work), merges every shard's heartbeats, last
  * checkpoints, and event/divergence feeds into one campaign
- * snapshot, and renders it:
- *
- *   --format=table      aligned text table + summary (default)
- *   --format=json       one JSON document (machine-readable)
- *   --format=prom       Prometheus text-exposition format
- *   --watch[=SECS]      re-scan and re-render every SECS (default 2)
- *   --stall-after=SECS  heartbeat age that classifies a shard as
- *                       stalled (default 30)
- *   --dead-after=SECS   heartbeat age that classifies a shard as
- *                       dead (default 300)
- *   --no-pid-check      skip the kill(pid, 0) liveness probe (for
- *                       session trees copied from another host)
- *   --stable            omit wall-clock-derived fields (ages,
- *                       rates, run time, pids) so two scans of a
- *                       finished tree byte-compare equal
- *   --now=UNIX_SECS     classify against this reader clock instead
- *                       of the system clock (testing)
+ * snapshot, and renders it as a table, JSON or Prometheus text. Run
+ * it with --help for the options.
  *
  * Exit status: 0 on success, 1 when no session was found under any
  * root, 2 on usage errors. Scanning is read-only and crash-tolerant;
@@ -33,30 +18,15 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "monitor/monitor.hh"
+#include "support/flags.hh"
 
 namespace
 {
-
-const char *kUsage =
-    "usage: compdiff_monitor [options] <session-root>...\n"
-    "\n"
-    "  --format=FMT        table (default), json, or prom\n"
-    "  --watch[=SECS]      poll and re-render every SECS "
-    "(default 2)\n"
-    "  --stall-after=SECS  stalled-shard heartbeat age "
-    "(default 30)\n"
-    "  --dead-after=SECS   dead-shard heartbeat age "
-    "(default 300)\n"
-    "  --no-pid-check      skip the kill(pid,0) liveness probe\n"
-    "  --stable            omit wall-clock-derived fields\n"
-    "  --now=UNIX_SECS     reader clock override (testing)\n"
-    "  --help              this text\n";
 
 struct MonitorCli
 {
@@ -64,72 +34,41 @@ struct MonitorCli
     std::string format = "table";
     bool watch = false;
     double watchSecs = 2.0;
+    bool noPidCheck = false;
     std::vector<std::string> roots;
 };
-
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
-{
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
-}
 
 MonitorCli
 parseArgs(int argc, char **argv)
 {
+    using compdiff::support::Flag;
     MonitorCli cli;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (matchFlag(arg, "--format", &value)) {
-            cli.format = value;
-        } else if (arg == "--watch") {
-            cli.watch = true;
-        } else if (matchFlag(arg, "--watch", &value)) {
-            cli.watch = true;
-            cli.watchSecs = std::strtod(value.c_str(), nullptr);
-            if (cli.watchSecs <= 0)
-                cli.watchSecs = 2.0;
-        } else if (matchFlag(arg, "--stall-after", &value)) {
-            cli.options.health.stallAfterSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (matchFlag(arg, "--dead-after", &value)) {
-            cli.options.health.deadAfterSecs =
-                std::strtod(value.c_str(), nullptr);
-        } else if (arg == "--no-pid-check") {
-            cli.options.health.checkPid = false;
-        } else if (arg == "--stable") {
-            cli.options.stable = true;
-        } else if (matchFlag(arg, "--now", &value)) {
-            cli.options.nowUnix =
-                std::strtod(value.c_str(), nullptr);
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "unknown option %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        } else {
-            cli.roots.push_back(arg);
-        }
-    }
-    if (cli.roots.empty()) {
-        std::fprintf(stderr, "no session root given\n\n%s",
-                     kUsage);
-        std::exit(2);
-    }
-    if (cli.format != "table" && cli.format != "json" &&
-        cli.format != "prom") {
-        std::fprintf(stderr, "unknown --format=%s\n\n%s",
-                     cli.format.c_str(), kUsage);
-        std::exit(2);
-    }
+    auto &health = cli.options.health;
+    const compdiff::support::FlagSet flags(
+        "compdiff_monitor [options] <session-root>...",
+        {{"",
+          {
+              Flag("--format=table|json|prom", &cli.format,
+                   "text table, JSON document, or Prometheus exposition"),
+              Flag("--watch[=SECS]", &cli.watchSecs,
+                   "poll and re-render every SECS", &cli.watch),
+              Flag("--stall-after=SECS", &health.stallAfterSecs,
+                   "stalled-shard heartbeat age"),
+              Flag("--dead-after=SECS", &health.deadAfterSecs,
+                   "dead-shard heartbeat age"),
+              Flag("--no-pid-check", &cli.noPidCheck,
+                   "skip the kill(pid,0) liveness probe"),
+              Flag("--stable", &cli.options.stable,
+                   "omit wall-clock-derived fields"),
+              Flag("--now=UNIX_SECS", &cli.options.nowUnix,
+                   "reader clock override (testing)"),
+          }}});
+    cli.roots = flags.parseOrExit({argv + 1, argv + argc}).positional;
+    if (cli.roots.empty())
+        flags.fail("no session root given");
+    if (cli.watchSecs <= 0)
+        cli.watchSecs = 2.0;
+    health.checkPid = !cli.noPidCheck;
     return cli;
 }
 

@@ -7,44 +7,17 @@
  *
  *   ./build/examples/compdiff_sancheck [options]
  *
- * Three modes:
- *
- *   (default)            sweep the seed set (the built-in sanlab
- *                        target's unless --program/--input override
- *                        it) and print the Table-6-style FN/FP
- *                        overlap matrix — implementations down,
- *                        UB classes across
- *   --input=FILE         classify one input; prints the certified
- *                        reference run and every finding, exits 1
- *                        when a finding fires (the reproduce
- *                        command sig-<hex>/report.md bundles name)
- *   --fuzz[=N]           run a sancheck fuzz campaign instead of
- *                        the fixed sweep, then print the matrix
- *                        over the campaign's unique findings
- *
- * Options:
- *   --program=FILE   MiniC program (default: built-in sanlab)
- *   --impls=SPECS    sanitized implementation specs (simulated
- *                    configs with a sanitizer; default: the
- *                    standard four — clang O1 asan/ubsan/msan plus
- *                    clang O2 ubsan)
- *   --seeds=DIR      extra seed files for the sweep/campaign
- *   --jobs=N         worker threads (never changes results)
- *   --shards=N       deterministic campaign shards (--fuzz)
- *   --session=DIR    persist the --fuzz campaign as a crash-safe
- *                    session (checkpoints, events, MANIFEST)
- *   --resume         continue the session in --session=DIR
- *   --halt-after=N   stop each shard at its first safe point at or
- *                    beyond N executions (resume finishes)
- *   --reduce[=B]     reduce each unique finding (oracle budget B)
- *   --reports-out=D  write sig-<hex>/ bundles under D
- *   --quiet          silence warn()/inform() notices
+ * Three modes: the default sweeps the seed set (the built-in sanlab
+ * target's unless --program/--seeds override it) and prints the
+ * Table-6-style FN/FP overlap matrix; --input=FILE classifies one
+ * input and exits 1 when a finding fires (the reproduce command
+ * sig-<hex>/report.md bundles name); --fuzz[=N] runs a sancheck
+ * campaign instead of the fixed sweep. Run it with --help for the
+ * options.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -58,31 +31,13 @@
 #include "sancheck/sancheck.hh"
 #include "session/session.hh"
 #include "support/bytes.hh"
+#include "support/flags.hh"
 #include "support/logging.hh"
+#include "support/strings.hh"
 #include "support/table.hh"
 
 namespace
 {
-
-const char *kUsage =
-    "usage: compdiff_sancheck [options]\n"
-    "\n"
-    "  --program=FILE   MiniC program (default: built-in sanlab)\n"
-    "  --input=FILE     classify one input; exit 1 on a finding\n"
-    "  --impls=SPECS    sanitized implementation specs\n"
-    "  --seeds=DIR      extra seed files for the sweep/campaign\n"
-    "  --fuzz[=N]       run a sancheck fuzz campaign (default\n"
-    "                   20000 execs), then print the matrix\n"
-    "  --jobs=N         worker threads (never changes results)\n"
-    "  --shards=N       deterministic campaign shards\n"
-    "  --session=DIR    persist the campaign as a session\n"
-    "  --resume         continue the session in --session=DIR\n"
-    "  --halt-after=N   stop shards at the first safe point at or\n"
-    "                   beyond N executions\n"
-    "  --reduce[=B]     reduce each unique finding\n"
-    "  --reports-out=D  write sig-<hex>/ bundles under D\n"
-    "  --quiet          silence warn()/inform() notices\n"
-    "  --help           show this text\n";
 
 struct CliOptions
 {
@@ -91,93 +46,57 @@ struct CliOptions
     std::string impls;
     std::string seedsDir;
     bool fuzz = false;
-    std::uint64_t fuzzExecs = 20'000;
-    std::size_t jobs = 1;
-    std::size_t shards = 1;
-    std::string sessionDir;
-    bool resume = false;
-    std::uint64_t haltAfter = 0;
-    bool reduce = false;
-    std::uint64_t reduceBudget = 4096;
-    std::string reportsOut;
+    std::uint64_t jobs = 1;
+    std::uint64_t shards = 1;
+    /** Campaign budget, persistence and triage knobs. */
+    compdiff::session::SessionConfig session;
     bool quiet = false;
 };
-
-bool
-matchFlag(const std::string &arg, const char *name,
-          std::string *value)
-{
-    const std::string prefix = std::string(name) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        *value = arg.substr(prefix.size());
-        return true;
-    }
-    return false;
-}
 
 CliOptions
 parseArgs(int argc, char **argv)
 {
-    CliOptions options;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        std::string value;
-        if (matchFlag(arg, "--program", &value)) {
-            options.program = value;
-        } else if (matchFlag(arg, "--input", &value)) {
-            options.input = value;
-        } else if (matchFlag(arg, "--impls", &value)) {
-            options.impls = value;
-        } else if (matchFlag(arg, "--seeds", &value)) {
-            options.seedsDir = value;
-        } else if (arg == "--fuzz") {
-            options.fuzz = true;
-        } else if (matchFlag(arg, "--fuzz", &value)) {
-            options.fuzz = true;
-            options.fuzzExecs = std::strtoull(value.c_str(),
-                                              nullptr, 10);
-        } else if (matchFlag(arg, "--jobs", &value)) {
-            options.jobs = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--shards", &value)) {
-            options.shards = static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-        } else if (matchFlag(arg, "--session", &value)) {
-            options.sessionDir = value;
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (matchFlag(arg, "--halt-after", &value)) {
-            options.haltAfter = std::strtoull(value.c_str(),
-                                              nullptr, 10);
-        } else if (arg == "--reduce") {
-            options.reduce = true;
-        } else if (matchFlag(arg, "--reduce", &value)) {
-            options.reduce = true;
-            options.reduceBudget = std::strtoull(value.c_str(),
-                                                 nullptr, 10);
-        } else if (matchFlag(arg, "--reports-out", &value)) {
-            options.reportsOut = value;
-        } else if (arg == "--quiet") {
-            options.quiet = true;
-        } else if (arg == "--help") {
-            std::fputs(kUsage, stdout);
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "unknown argument %s\n\n%s",
-                         arg.c_str(), kUsage);
-            std::exit(2);
-        }
-    }
-    return options;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    using compdiff::support::Flag;
+    CliOptions o;
+    auto &triage = o.session.triage;
+    const compdiff::support::FlagSet flags(
+        "compdiff_sancheck [options]",
+        {{"",
+          {
+              Flag("--program=FILE", &o.program,
+                   "MiniC program (default: built-in sanlab)"),
+              Flag("--input=FILE", &o.input,
+                   "classify one input; exit 1 on a finding"),
+              Flag("--impls=SPECS", &o.impls,
+                   "sanitized implementation specs (default: the "
+                   "standard four)"),
+              Flag("--seeds=DIR", &o.seedsDir,
+                   "extra seed files for the sweep/campaign"),
+              Flag("--fuzz[=N]", &o.session.fuzz.maxExecs,
+                   "run a sancheck fuzz campaign, then print the matrix",
+                   &o.fuzz),
+              Flag("--jobs=N", &o.jobs,
+                   "worker threads (never changes results)")
+                  .atMost(compdiff::support::kMaxWorkerCount),
+              Flag("--shards=N", &o.shards, "deterministic campaign shards"),
+              Flag("--session=DIR", &o.session.dir,
+                   "persist the campaign as a session"),
+              Flag("--resume", &o.session.resume,
+                   "continue the session in --session=DIR"),
+              Flag("--halt-after=N", &o.session.haltAfterExecs,
+                   "stop shards at the first safe point at or beyond N "
+                   "executions"),
+              Flag("--reduce[=B]", &triage.candidateBudget,
+                   "reduce each unique finding", &triage.reduceFound),
+              Flag("--reports-out=D", &triage.reportsDir,
+                   "write sig-<hex>/ bundles under D"),
+              Flag("--quiet", &o.quiet, "silence warn()/inform() notices"),
+          }}});
+    const auto positional =
+        flags.parseOrExit({argv + 1, argv + argc}).positional;
+    if (!positional.empty())
+        flags.fail("unexpected argument " + positional.front());
+    return o;
 }
 
 /**
@@ -287,7 +206,7 @@ main(int argc, char **argv)
         source = sancheck::sanlabSource();
         seeds = sancheck::sanlabSeeds();
     } else {
-        source = readFile(options.program);
+        source = support::readFile(options.program);
         if (source.empty()) {
             std::fprintf(stderr, "cannot read %s\n",
                          options.program.c_str());
@@ -303,7 +222,7 @@ main(int argc, char **argv)
         }
         std::sort(paths.begin(), paths.end());
         for (const auto &path : paths) {
-            const std::string raw = readFile(path);
+            const std::string raw = support::readFile(path);
             seeds.emplace_back(raw.begin(), raw.end());
         }
     }
@@ -323,7 +242,7 @@ main(int argc, char **argv)
     // --input: classify exactly one pair — the reproduce command
     // that sig-<hex>/report.md bundles name. Exit 1 on a finding.
     if (!options.input.empty()) {
-        const std::string raw = readFile(options.input);
+        const std::string raw = support::readFile(options.input);
         const support::Bytes input(raw.begin(), raw.end());
         sancheck::SanCheckOracle oracle(*program, impls);
         const sancheck::Outcome outcome = oracle.runInput(input);
@@ -342,23 +261,12 @@ main(int argc, char **argv)
 
     std::vector<sancheck::SanFinding> findings;
     if (options.fuzz) {
-        fuzz::FuzzOptions fuzz_options;
-        fuzz_options.sancheckMode = true;
-        fuzz_options.sancheckImpls = impls;
-        fuzz_options.maxExecs = options.fuzzExecs;
-        fuzz_options.jobs = options.jobs;
-
-        session::SessionConfig session_config;
-        session_config.dir = options.sessionDir;
-        session_config.resume = options.resume;
-        session_config.haltAfterExecs = options.haltAfter;
-        session_config.fuzz = fuzz_options;
+        session::SessionConfig session_config = options.session;
+        session_config.fuzz.sancheckMode = true;
+        session_config.fuzz.sancheckImpls = impls;
+        session_config.fuzz.jobs = options.jobs;
         session_config.shards = options.shards;
         session_config.jobs = options.jobs;
-        session_config.triage.reduceFound = options.reduce;
-        session_config.triage.candidateBudget =
-            options.reduceBudget;
-        session_config.triage.reportsDir = options.reportsOut;
 
         try {
             session::CampaignSession session(*program, seeds,
@@ -370,7 +278,7 @@ main(int argc, char **argv)
                     "--session=%s --resume to finish\n",
                     static_cast<unsigned long long>(
                         sharded.total.execs),
-                    options.sessionDir.c_str());
+                    options.session.dir.c_str());
                 return 0;
             }
             for (const auto &diff : sharded.diffs) {
@@ -417,11 +325,12 @@ main(int argc, char **argv)
                     witnesses.push_back({seed, finding});
             }
         }
-        if (options.reduce && !witnesses.empty()) {
+        const session::TriageOptions &triage = options.session.triage;
+        if (triage.reduceFound && !witnesses.empty()) {
             sancheck::FindingReduceOptions reduce_options;
-            reduce_options.candidateBudget = options.reduceBudget;
+            reduce_options.candidateBudget = triage.candidateBudget;
             reduce_options.jobs = options.jobs;
-            reduce_options.reportsDir = options.reportsOut;
+            reduce_options.reportsDir = triage.reportsDir;
             const auto reports = sancheck::reduceFindings(
                 *program, impls, witnesses, reduce_options);
             for (const auto &report : reports) {

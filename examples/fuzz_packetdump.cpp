@@ -5,29 +5,20 @@
  * divergences back to their root causes and show a minimized
  * reproducer for each, like the bug reports the paper filed.
  *
- * Build & run:  ./build/examples/fuzz_packetdump [execs]
- *                   [--stats-dir=DIR] [--trace-out=FILE]
- *                   [--session=DIR] [--resume] [--halt-after=N]
- *                   [--checkpoint-every=N] [--shards=N] [--jobs=N]
+ * Build & run:  ./build/examples/fuzz_packetdump [execs] [options]
  *
- * --stats-dir writes AFL++-style fuzzer_stats/plot_data under
- * DIR/pktdump/; --trace-out writes Chrome-trace JSON of the whole
- * campaign (both enable the observability layer). --session runs
- * the campaign as a crash-safe session under DIR/pktdump/ —
- * interrupt it (or stop it early with --halt-after) and finish it
- * later with --resume; see DESIGN.md §10. --shards splits the
- * campaign into deterministic shards (part of the result identity);
- * --jobs only adds worker threads and never changes results.
+ * Run it with --help for the options: AFL++-style stats and a
+ * Chrome trace of the whole campaign, a crash-safe resumable session
+ * (DESIGN.md §10), deterministic shards and worker threads.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "support/bytes.hh"
+#include "support/flags.hh"
 #include "targets/campaign.hh"
 #include "targets/targets.hh"
 
@@ -47,35 +38,46 @@ main(int argc, char **argv)
     options.checkSanitizers = true;
     options.maxExecs = 12'000;
     std::string trace_out;
-    for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--stats-dir=", 0) == 0) {
-            options.statsDir = arg.substr(std::strlen("--stats-dir="));
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            trace_out = arg.substr(std::strlen("--trace-out="));
-        } else if (arg.rfind("--session=", 0) == 0) {
-            options.sessionDir = arg.substr(std::strlen("--session="));
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (arg.rfind("--halt-after=", 0) == 0) {
-            options.haltAfterExecs = static_cast<std::uint64_t>(
-                std::atoll(arg.c_str() +
-                           std::strlen("--halt-after=")));
-        } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            options.checkpointEvery = static_cast<std::uint64_t>(
-                std::atoll(arg.c_str() +
-                           std::strlen("--checkpoint-every=")));
-        } else if (arg.rfind("--shards=", 0) == 0) {
-            options.shards = static_cast<std::size_t>(
-                std::atoll(arg.c_str() + std::strlen("--shards=")));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            options.jobs = static_cast<std::size_t>(
-                std::atoll(arg.c_str() + std::strlen("--jobs=")));
-        } else {
-            options.maxExecs = static_cast<std::uint64_t>(
-                std::atoll(arg.c_str()));
+    std::uint64_t shards = options.shards;
+    std::uint64_t jobs = options.jobs;
+    using support::Flag;
+    const support::FlagSet flags(
+        "fuzz_packetdump [execs] [options]",
+        {{"",
+          {
+              Flag("--stats-dir=DIR", &options.statsDir,
+                   "AFL++-style fuzzer_stats/plot_data under DIR/pktdump/"),
+              Flag("--trace-out=FILE", &trace_out,
+                   "Chrome-trace JSON of the whole campaign"),
+              Flag("--session=DIR", &options.sessionDir,
+                   "crash-safe session under DIR/pktdump/"),
+              Flag("--resume", &options.resume,
+                   "finish the session in --session=DIR"),
+              Flag("--halt-after=N", &options.haltAfterExecs,
+                   "stop at the first checkpoint at or beyond N execs"),
+              Flag("--checkpoint-every=N", &options.checkpointEvery,
+                   "checkpoint every N shard executions"),
+              Flag("--shards=N", &shards,
+                   "deterministic shards (part of the result identity)"),
+              Flag("--jobs=N", &jobs, "worker threads (never changes results)")
+                  .atMost(support::kMaxWorkerCount),
+          }}},
+        "execs is the campaign budget (default " +
+            std::to_string(options.maxExecs) + ").\n");
+    const auto positional =
+        flags.parseOrExit({argv + 1, argv + argc}).positional;
+    if (positional.size() > 1)
+        flags.fail("unexpected argument " + positional[1]);
+    if (!positional.empty()) {
+        try {
+            options.maxExecs =
+                support::parseUnsigned("execs", positional[0]);
+        } catch (const support::FlagError &error) {
+            flags.fail(error.what());
         }
     }
+    options.shards = shards;
+    options.jobs = jobs;
     if (!options.statsDir.empty() || !trace_out.empty())
         obs::setEnabled(true);
 

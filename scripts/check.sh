@@ -89,13 +89,24 @@ smoke() {
     grep -q '^run_time' "$tmp/fuzzer_stats"
     grep -q '^# execs' "$tmp/plot_data"
 
-    echo "== cli smoke: unknown flags are rejected with usage text"
-    "$cli" --no-such-flag > "$tmp/usage.out" 2>&1 && rc=0 || rc=$?
-    test "$rc" -eq 2
-    grep -q 'unknown option --no-such-flag' "$tmp/usage.out"
-    grep -q 'usage: compdiff_cli' "$tmp/usage.out"
-    "$cli" --help > "$tmp/help.out"
-    grep -q 'usage: compdiff_cli' "$tmp/help.out"
+    echo "== usage smoke: one flag contract for every front end"
+    # All five binaries parse through the one flag table: --help
+    # exits 0 with the usage line; an unknown flag and a malformed
+    # count exit 2 with a first line naming the flag, then the usage.
+    for bin in compdiff_cli compdiff_sancheck compdiff_fleet \
+               compdiff_monitor fuzz_packetdump; do
+        exe="$(dirname "$cli")/$bin"
+        "$exe" --help > "$tmp/help.out"
+        grep -q "^usage: $bin" "$tmp/help.out"
+        "$exe" --no-such-flag > "$tmp/usage.out" 2>&1 && rc=0 || rc=$?
+        test "$rc" -eq 2
+        head -n 1 "$tmp/usage.out" | grep -q 'unknown option --no-such-flag'
+        grep -q "^usage: $bin" "$tmp/usage.out"
+        "$exe" --jobs=abc > "$tmp/jobs.out" 2>&1 && rc=0 || rc=$?
+        test "$rc" -eq 2
+        head -n 1 "$tmp/jobs.out" | grep -q -- '--jobs'
+        grep -q "^usage: $bin" "$tmp/jobs.out"
+    done
 
     echo "== session smoke: interrupt-then-resume is bit-identical"
     # One uninterrupted pktdump campaign, and the same campaign run

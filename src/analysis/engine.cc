@@ -882,18 +882,22 @@ class Engine : public StaticAnalyzer
                 bool ok = true;
                 std::int64_t lo = 0, hi = 0;
                 switch (bin.op) {
+                  // A bound that overflows int64 widens the result
+                  // to top rather than wrapping.
                   case BinaryOp::Add:
-                    lo = a.lo + b.lo;
-                    hi = a.hi + b.hi;
+                    ok = !__builtin_add_overflow(a.lo, b.lo, &lo) &&
+                         !__builtin_add_overflow(a.hi, b.hi, &hi);
                     break;
                   case BinaryOp::Sub:
-                    lo = a.lo - b.hi;
-                    hi = a.hi - b.lo;
+                    ok = !__builtin_sub_overflow(a.lo, b.hi, &lo) &&
+                         !__builtin_sub_overflow(a.hi, b.lo, &hi);
                     break;
                   case BinaryOp::Mul: {
-                    const std::int64_t c[] = {a.lo * b.lo, a.lo * b.hi,
-                                              a.hi * b.lo,
-                                              a.hi * b.hi};
+                    std::int64_t c[4];
+                    ok = !__builtin_mul_overflow(a.lo, b.lo, &c[0]) &&
+                         !__builtin_mul_overflow(a.lo, b.hi, &c[1]) &&
+                         !__builtin_mul_overflow(a.hi, b.lo, &c[2]) &&
+                         !__builtin_mul_overflow(a.hi, b.hi, &c[3]);
                     lo = std::min(std::min(c[0], c[1]),
                                   std::min(c[2], c[3]));
                     hi = std::max(std::max(c[0], c[1]),

@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 namespace compdiff::support
@@ -110,6 +111,15 @@ humanCount(double value)
     else
         std::snprintf(buf, sizeof(buf), "%.0f", value);
     return buf;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
 }
 
 std::string

@@ -44,6 +44,9 @@ std::string toHex(std::uint64_t value);
 /** Human-readable rendering of a byte count ("1.4M", "23K"). */
 std::string humanCount(double value);
 
+/** The whole file at `path`; empty when it cannot be read. */
+std::string readFile(const std::string &path);
+
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

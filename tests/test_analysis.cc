@@ -181,6 +181,30 @@ TEST(InferLite, PossibleOverflowOnTaintedArith)
                         FindingKind::IntOverflow));
 }
 
+TEST(AllTools, Int64IntervalOverflowWidensToTop)
+{
+    // Each divisor's interval bounds overflow int64 and would wrap to
+    // exactly 0, a "division by constant zero" no run can reach.
+    // Overflowing bounds widen to top instead, so nothing is reported
+    // (and the analyzer itself performs no signed overflow).
+    const char *divisors[] = {
+        "9223372036854775807L + 9223372036854775807L + 2L",
+        "(0L - 9223372036854775807L) - 9223372036854775807L - 2L",
+        "4294967296L * 4294967296L",
+    };
+    for (const auto &tool : {analysis::makeLintCheck(),
+                             analysis::makeInferLite(),
+                             analysis::makeDeepScan()}) {
+        for (const char *divisor : divisors) {
+            const std::string source =
+                std::string("int main() {\n    long d = ") + divisor +
+                ";\n    print_long(100L / d);\n    return 0;\n}\n";
+            EXPECT_FALSE(reports(*tool, source, FindingKind::DivByZero))
+                << tool->name() << ": " << divisor;
+        }
+    }
+}
+
 TEST(DeepScan, GuardedIndexIsClean)
 {
     auto tool = analysis::makeDeepScan();
