@@ -83,6 +83,9 @@ struct CliOptions
     bool quiet = false;
     std::string validateJson;
     std::vector<std::string> positional;
+    /** --impls and --san-impls parsed (the latter empty when unset). */
+    compdiff::core::ImplementationSet implSet;
+    compdiff::core::ImplementationSet sanImplSet;
 
     bool sancheck() const { return mode == "sancheck"; }
 
@@ -128,7 +131,8 @@ parseArgs(int argc, char **argv)
               Flag("--jobs=N", &o.jobs,
                    "worker threads, 0 = hardware (never changes results)")
                   .atMost(compdiff::support::kMaxWorkerCount),
-              Flag("--shards=N", &o.shards, "deterministic campaign shards"),
+              Flag("--shards=N", &o.shards, "deterministic campaign shards")
+                  .atMost(compdiff::support::kMaxWorkerCount),
               Flag("--session=DIR", &o.session.dir,
                    "persist the campaign as a crash-safe session under DIR"),
               Flag("--resume", &o.session.resume,
@@ -159,6 +163,12 @@ parseArgs(int argc, char **argv)
           }}},
         "With no program argument, analyzes a built-in demo program.\n");
     o.positional = flags.parseOrExit({argv + 1, argv + argc}).positional;
+    const auto &registry = compdiff::core::ImplementationRegistry::global();
+    o.implSet =
+        flags.convert("--impls", [&] { return registry.parse(o.impls); });
+    if (!o.sanImpls.empty())
+        o.sanImplSet = flags.convert(
+            "--san-impls", [&] { return registry.parse(o.sanImpls); });
     return o;
 }
 
@@ -198,15 +208,10 @@ runFuzzMode(const compdiff::minic::Program &program,
     fuzz::FuzzOptions &fuzz_options = session_config.fuzz;
     if (options.sancheck()) {
         fuzz_options.sancheckMode = true;
-        if (!options.sanImpls.empty()) {
-            fuzz_options.sancheckImpls =
-                core::ImplementationRegistry::global().parse(
-                    options.sanImpls);
-        }
+        if (!options.sanImplSet.empty())
+            fuzz_options.sancheckImpls = options.sanImplSet;
     } else {
-        fuzz_options.diffImpls =
-            core::ImplementationRegistry::global().parse(
-                options.impls);
+        fuzz_options.diffImpls = options.implSet;
     }
     fuzz_options.jobs = options.jobs;
     session_config.shards = options.shards;
@@ -404,10 +409,9 @@ main(int argc, char **argv)
     if (options.sancheck()) {
         sancheck::SanCheckOracle oracle(
             *program,
-            options.sanImpls.empty()
+            options.sanImplSet.empty()
                 ? sancheck::defaultImplementations()
-                : core::ImplementationRegistry::global().parse(
-                      options.sanImpls));
+                : options.sanImplSet);
         const sancheck::Outcome outcome = oracle.runInput(input);
         std::printf("certified reference run: %s, "
                     "%zu certificate(s)\n",
@@ -430,10 +434,7 @@ main(int argc, char **argv)
 
     core::DiffOptions diff_options;
     diff_options.jobs = options.jobs;
-    core::DiffEngine engine(
-        *program,
-        core::ImplementationRegistry::global().parse(options.impls),
-        diff_options);
+    core::DiffEngine engine(*program, options.implSet, diff_options);
     auto diff = engine.runInput(input);
     std::printf("%s", diff.summary().c_str());
     if (!diff.divergent) {

@@ -48,6 +48,7 @@ struct FleetCli
     std::string target;
     std::string program;
     std::string impls = "paper10";
+    compdiff::core::ImplementationSet implSet; ///< --impls parsed
     std::uint64_t shards = 1;
     std::uint64_t jobs = 1;
     bool quiet = false;
@@ -84,7 +85,8 @@ fleetFlags(FleetCli &o)
               Flag("--fuzz=N", &o.session.fuzz.maxExecs,
                    "campaign budget in executions"),
               Flag("--shards=N", &o.shards,
-                   "deterministic shards (>= workers)"),
+                   "deterministic shards (>= workers)")
+                  .atMost(kMaxWorkerCount),
               Flag("--jobs=N", &o.jobs, "threads per worker")
                   .atMost(kMaxWorkerCount),
               Flag("--checkpoint-every=N", &o.session.checkpointEvery,
@@ -153,8 +155,7 @@ sessionConfig(const FleetCli &options)
 {
     using namespace compdiff;
     session::SessionConfig config = options.session;
-    config.fuzz.diffImpls =
-        core::ImplementationRegistry::global().parse(options.impls);
+    config.fuzz.diffImpls = options.implSet;
     config.fuzz.jobs = options.jobs;
     config.shards = options.shards;
     config.jobs = options.jobs;
@@ -189,6 +190,9 @@ main(int argc, char **argv)
                                 parsed.groupArgs[0].end());
     if (!parsed.positional.empty())
         options.program = parsed.positional[0];
+    options.implSet = flags.convert("--impls", [&] {
+        return core::ImplementationRegistry::global().parse(options.impls);
+    });
     support::QuietGuard quiet(options.quiet);
 
     if (options.session.dir.empty())

@@ -44,6 +44,8 @@ struct CliOptions
     std::string program;
     std::string input;
     std::string impls;
+    /** --impls parsed; the standard four when unset. */
+    compdiff::core::ImplementationSet implSet;
     std::string seedsDir;
     bool fuzz = false;
     std::uint64_t jobs = 1;
@@ -78,7 +80,8 @@ parseArgs(int argc, char **argv)
               Flag("--jobs=N", &o.jobs,
                    "worker threads (never changes results)")
                   .atMost(compdiff::support::kMaxWorkerCount),
-              Flag("--shards=N", &o.shards, "deterministic campaign shards"),
+              Flag("--shards=N", &o.shards, "deterministic campaign shards")
+                  .atMost(compdiff::support::kMaxWorkerCount),
               Flag("--session=DIR", &o.session.dir,
                    "persist the campaign as a session"),
               Flag("--resume", &o.session.resume,
@@ -96,6 +99,11 @@ parseArgs(int argc, char **argv)
         flags.parseOrExit({argv + 1, argv + argc}).positional;
     if (!positional.empty())
         flags.fail("unexpected argument " + positional.front());
+    const auto &registry = compdiff::core::ImplementationRegistry::global();
+    o.implSet = o.impls.empty()
+                    ? compdiff::sancheck::defaultImplementations()
+                    : flags.convert("--impls",
+                                    [&] { return registry.parse(o.impls); });
     return o;
 }
 
@@ -188,11 +196,7 @@ main(int argc, char **argv)
     const CliOptions options = parseArgs(argc, argv);
     support::QuietGuard quiet(options.quiet);
 
-    core::ImplementationSet impls =
-        options.impls.empty()
-            ? sancheck::defaultImplementations()
-            : core::ImplementationRegistry::global().parse(
-                  options.impls);
+    const core::ImplementationSet &impls = options.implSet;
     try {
         sancheck::validateImpls(impls);
     } catch (const std::exception &error) {

@@ -58,7 +58,8 @@ main(int argc, char **argv)
               Flag("--checkpoint-every=N", &options.checkpointEvery,
                    "checkpoint every N shard executions"),
               Flag("--shards=N", &shards,
-                   "deterministic shards (part of the result identity)"),
+                   "deterministic shards (part of the result identity)")
+                  .atMost(support::kMaxWorkerCount),
               Flag("--jobs=N", &jobs, "worker threads (never changes results)")
                   .atMost(support::kMaxWorkerCount),
           }}},

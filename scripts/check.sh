@@ -91,8 +91,9 @@ smoke() {
 
     echo "== usage smoke: one flag contract for every front end"
     # All five binaries parse through the one flag table: --help
-    # exits 0 with the usage line; an unknown flag and a malformed
-    # count exit 2 with a first line naming the flag, then the usage.
+    # exits 0 with the usage line; an unknown flag, a malformed count
+    # and an unknown --impls spec exit 2 with a first line naming the
+    # flag, then the usage.
     for bin in compdiff_cli compdiff_sancheck compdiff_fleet \
                compdiff_monitor fuzz_packetdump; do
         exe="$(dirname "$cli")/$bin"
@@ -106,6 +107,15 @@ smoke() {
         test "$rc" -eq 2
         head -n 1 "$tmp/jobs.out" | grep -q -- '--jobs'
         grep -q "^usage: $bin" "$tmp/jobs.out"
+        # An unknown implementation spec is a usage error too.
+        case "$bin" in
+        compdiff_cli | compdiff_sancheck | compdiff_fleet)
+            "$exe" --impls=bogus > "$tmp/impls.out" 2>&1 && rc=0 || rc=$?
+            test "$rc" -eq 2
+            head -n 1 "$tmp/impls.out" | grep -q -- '--impls'
+            grep -q "^usage: $bin" "$tmp/impls.out"
+            ;;
+        esac
     done
 
     echo "== session smoke: interrupt-then-resume is bit-identical"

@@ -9,8 +9,11 @@
  * chunks at decreasing granularities (half, quarter, ... down to
  * single bytes), then normalize the survivors by zeroing every byte
  * that tolerates it. A candidate is kept only when the Oracle says
- * the divergence signature is unchanged — the reduced input triggers
- * the *same* bug, not merely *a* bug.
+ * it still reproduces the bug (for SignatureOracle: the divergence
+ * signature is unchanged) — the reduced input triggers the *same*
+ * bug, not merely *a* bug. It is the one input minimizer: divergence
+ * and sancheck triage and the campaign's Table 5/6 witnesses all
+ * call it.
  *
  * Properties the tests rely on:
  *   - Determinism: candidate order is a pure function of the input
@@ -46,8 +49,8 @@ struct InputReduction
 };
 
 /**
- * Reduce `witness` against `program`, preserving the oracle's target
- * signature. The oracle's budget bounds the number of candidates.
+ * Reduce `witness` against `program` while the oracle accepts. The
+ * oracle's budget bounds the number of candidates.
  */
 InputReduction reduceInput(Oracle &oracle,
                            const minic::Program &program,

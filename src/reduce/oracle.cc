@@ -19,13 +19,26 @@ divergenceSignature(const core::DiffResult &result)
     return combiner.digest();
 }
 
+bool
+Oracle::preserves(const minic::Program &program,
+                  const support::Bytes &input)
+{
+    if (budgetExhausted())
+        return false;
+    stats_.tried++;
+    if (!accepts(program, input))
+        return false;
+    stats_.accepted++;
+    return true;
+}
+
 SignatureOracle::SignatureOracle(const minic::Program &program,
                                  core::ImplementationSet impls,
                                  const support::Bytes &witness,
                                  core::DiffOptions options,
                                  std::uint64_t candidate_budget)
-    : impls_(std::move(impls)), options_(std::move(options)),
-      budget_(candidate_budget)
+    : Oracle(candidate_budget), impls_(std::move(impls)),
+      options_(std::move(options))
 {
     // Parallelism belongs to the reduction pipeline's per-signature
     // fan-out; a serial oracle keeps one reduction = one thread.
@@ -66,19 +79,15 @@ SignatureOracle::engineFor(const minic::Program &program)
 }
 
 bool
-SignatureOracle::preserves(const minic::Program &program,
-                           const support::Bytes &input)
+SignatureOracle::accepts(const minic::Program &program,
+                         const support::Bytes &input)
 {
-    if (budgetExhausted())
-        return false;
-    stats_.tried++;
     obs::counter("reduce.candidates_tried").add();
     const auto result = engineFor(program).runInput(input);
     if (!result.divergent ||
         divergenceSignature(result) != target_) {
         return false;
     }
-    stats_.accepted++;
     obs::counter("reduce.candidates_accepted").add();
     return true;
 }

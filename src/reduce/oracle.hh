@@ -11,24 +11,25 @@
  * into a report about a *different* bug. The contract is therefore
  * strict:
  *
- *   - The interesting property is the *divergence signature*: the
+ *   - The base class holds the candidate budget and the counters
+ *     for every oracle: it bounds the total number of evaluations
+ *     per reduction (the CI smoke relies on this to keep wall time
+ *     bounded); once exhausted, every further candidate is rejected
+ *     and the reducers stop where they are. Reduction is anytime:
+ *     the current best is always a valid witness.
+ *   - A subclass only decides acceptance. The standard
+ *     SignatureOracle below keeps the *divergence signature*: the
  *     partition of the implementation set into behavior classes
  *     (which implementations agree with which, derived from the
  *     per-implementation output-hash classes of core::DiffResult).
  *     Outputs may change value during reduction — a shrunken input
- *     usually prints different numbers — but the partition must not:
- *     the same implementations must still disagree in the same
- *     grouping.
- *   - The oracle re-runs the full ImplementationSet through a
- *     core::DiffEngine (and thus core::ExecutionService), with a
- *     fixed nonce so acceptance is deterministic and independent of
- *     scheduling. The process-wide compiler::CompileCache absorbs
- *     the many candidate recompiles of program reduction.
- *   - A candidate budget bounds the total number of oracle
- *     evaluations per reduction (the CI smoke relies on this to keep
- *     wall time bounded); once exhausted, every further candidate is
- *     rejected and the reducers stop where they are. Reduction is
- *     anytime: the current best is always a valid witness.
+ *     usually prints different numbers — but the partition must not.
+ *     It re-runs the full ImplementationSet through a
+ *     core::DiffEngine with a fixed nonce, so acceptance is
+ *     deterministic; the process-wide compiler::CompileCache absorbs
+ *     the many candidate recompiles of program reduction. The
+ *     sancheck finding oracle keeps a finding's signature, and the
+ *     campaign triage oracle a planted bug's probe plus divergence.
  */
 
 #include <cstdint>
@@ -61,30 +62,46 @@ struct OracleStats
 };
 
 /**
- * Abstract acceptance test for reduction candidates. Reducers only
- * see this interface; tests substitute instrumented oracles.
+ * Acceptance test for reduction candidates. Reducers only see this
+ * interface; tests substitute instrumented oracles.
+ *
+ * The budget and the counters live here, once: preserves() rejects
+ * every candidate once the budget is spent, and otherwise counts the
+ * candidate and asks the subclass's accepts() predicate. A subclass
+ * only decides what "still the same bug" means.
  */
 class Oracle
 {
   public:
+    /** @param candidate_budget Max preserves() evaluations. */
+    explicit Oracle(std::uint64_t candidate_budget)
+        : budget_(candidate_budget)
+    {
+    }
     virtual ~Oracle() = default;
 
-    /** The signature every accepted candidate must reproduce. */
-    virtual std::uint64_t targetSignature() const = 0;
-
     /**
-     * Evaluate one candidate (program, input) pair. True iff the
-     * candidate still diverges with exactly the target signature.
-     * Counts against the candidate budget; always false once the
-     * budget is exhausted.
+     * Evaluate one candidate (program, input) pair: true iff it
+     * still reproduces the bug. Counts against the candidate budget;
+     * always false once the budget is exhausted.
      */
-    virtual bool preserves(const minic::Program &program,
-                           const support::Bytes &input) = 0;
+    bool preserves(const minic::Program &program,
+                   const support::Bytes &input);
 
     /** True when no further candidates will be evaluated. */
-    virtual bool budgetExhausted() const = 0;
+    bool budgetExhausted() const { return stats_.tried >= budget_; }
 
-    virtual const OracleStats &stats() const = 0;
+    const OracleStats &stats() const { return stats_; }
+
+  protected:
+    /** Does the candidate still reproduce the bug? Called at most
+     *  once per budgeted candidate. */
+    virtual bool accepts(const minic::Program &program,
+                         const support::Bytes &input) = 0;
+
+  private:
+    std::uint64_t budget_;
+    OracleStats stats_;
 };
 
 /**
@@ -136,20 +153,14 @@ class SignatureOracle : public Oracle
         return witnessResult_;
     }
 
-    std::uint64_t targetSignature() const override
-    {
-        return target_;
-    }
+    /** The signature every accepted candidate must reproduce. */
+    std::uint64_t targetSignature() const { return target_; }
 
-    bool preserves(const minic::Program &program,
-                   const support::Bytes &input) override;
-
-    bool budgetExhausted() const override
-    {
-        return stats_.tried >= budget_;
-    }
-
-    const OracleStats &stats() const override { return stats_; }
+  protected:
+    /** True iff the candidate still diverges with exactly the
+     *  target signature. */
+    bool accepts(const minic::Program &program,
+                 const support::Bytes &input) override;
 
   private:
     /**
@@ -163,11 +174,9 @@ class SignatureOracle : public Oracle
 
     core::ImplementationSet impls_;
     core::DiffOptions options_;
-    std::uint64_t budget_;
     std::uint64_t target_ = 0;
     bool reproduced_ = false;
     core::DiffResult witnessResult_;
-    OracleStats stats_;
 
     const minic::Program *witnessProgram_ = nullptr;
     std::unique_ptr<core::DiffEngine> witnessEngine_;

@@ -6,9 +6,6 @@
 #include "minic/printer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "reduce/input_reducer.hh"
-#include "reduce/oracle.hh"
-#include "reduce/program_reducer.hh"
 #include "sanitizers/sanitizers.hh"
 #include "semdiff/canon.hh"
 #include "semdiff/slice.hh"
@@ -39,6 +36,7 @@ reduceOne(const minic::Program &program,
                            options.candidateBudget);
     report.reproduced = oracle.reproduced();
 
+    std::unique_ptr<minic::Program> minimized;
     if (!oracle.reproduced()) {
         // Campaign-nonce-dependent divergence: don't minimize toward
         // a moving target; file the original witness as-is.
@@ -47,67 +45,45 @@ reduceOne(const minic::Program &program,
         report.input = witness.input;
         report.diff = witness.diff;
         report.inputStats.reduced = witness.input;
-        report.localization = core::localizeAcross(
-            program, impls, report.diff, report.input,
-            options.diffOptions.limits);
-        report.slice = semdiff::sliceDivergence(
-            program, impls, report.localization,
-            options.diffOptions);
-        report.canonicalFingerprint =
-            semdiff::canonicalizeSource(report.program).fingerprint;
-        report.semanticKey = semdiff::semanticKeyOf(
-            report.canonicalFingerprint, report.signature);
         obs::counter("reduce.witnesses_unreproduced").add();
-        return report;
+    } else {
+        report.signature = oracle.targetSignature();
+        WitnessReduction reduction =
+            reduceWitness(oracle, program, witness.input);
+        report.inputStats = std::move(reduction.inputStats);
+        report.programStats = std::move(reduction.programStats);
+        report.input = report.inputStats.reduced;
+        report.program = report.programStats.source;
+        minimized = std::move(reduction.program);
+
+        // Re-derive the final artifacts from the minimized pair: the
+        // diff (for the report's class listing), the localization,
+        // and the sanitizer verdicts all describe what is filed, not
+        // what was found.
+        core::DiffOptions diff_options = options.diffOptions;
+        diff_options.jobs = 1;
+        core::DiffEngine engine(*minimized, impls, diff_options);
+        report.diff = engine.runInput(report.input, 0);
     }
-
-    report.signature = oracle.targetSignature();
-    report.inputStats = reduceInput(oracle, program, witness.input);
-    report.input = report.inputStats.reduced;
-    report.programStats = reduceProgram(
-        oracle, minic::printProgram(program), report.input);
-    report.program = report.programStats.source;
-
-    // A shrunken program usually reads less input, so one more input
-    // pass against the minimized program drops bytes only the
-    // original program consumed.
-    auto minimized = minic::parseAndCheck(report.program);
-    const InputReduction second =
-        reduceInput(oracle, *minimized, report.input);
-    report.input = second.reduced;
-    report.inputStats.reduced = second.reduced;
-    report.inputStats.candidatesTried += second.candidatesTried;
-    report.inputStats.candidatesAccepted += second.candidatesAccepted;
-    report.inputStats.bytesRemoved += second.bytesRemoved;
-    report.inputStats.bytesNormalized += second.bytesNormalized;
-
-    // Re-derive the final artifacts from the minimized pair: the
-    // diff (for the report's class listing), the localization, and
-    // the sanitizer verdicts all describe what is filed, not what
-    // was found.
-    core::DiffOptions diff_options = options.diffOptions;
-    diff_options.jobs = 1;
-    core::DiffEngine engine(*minimized, impls, diff_options);
-    report.diff = engine.runInput(report.input, 0);
+    const minic::Program &filed = minimized ? *minimized : program;
     report.localization = core::localizeAcross(
-        *minimized, impls, report.diff, report.input,
+        filed, impls, report.diff, report.input,
         options.diffOptions.limits);
     report.slice = semdiff::sliceDivergence(
-        *minimized, impls, report.localization,
-        options.diffOptions);
+        filed, impls, report.localization, options.diffOptions);
 
-    // Second-tier key: the canonical form of the minimized program
-    // crossed with the behavior signature of the minimized diff.
-    // Both are pure functions of filed content, so the key (and any
-    // merge decision built on it) is identical for any --jobs/
-    // --shards split and across resume.
+    // Second-tier key: the canonical form of the filed program
+    // crossed with the behavior signature of the filed diff. Both
+    // are pure functions of filed content, so the key (and any merge
+    // decision built on it) is identical for any --jobs/--shards
+    // split and across resume.
     report.canonicalFingerprint =
         semdiff::canonicalizeSource(report.program).fingerprint;
     report.semanticKey = semdiff::semanticKeyOf(
         report.canonicalFingerprint,
         divergenceSignature(report.diff));
 
-    if (options.checkSanitizers) {
+    if (minimized && options.checkSanitizers) {
         sanitizers::SanitizerRunner runner(*minimized,
                                            options.diffOptions.limits);
         report.sanitizers.checked = true;
@@ -126,6 +102,46 @@ reduceOne(const minic::Program &program,
 
 } // namespace
 
+WitnessReduction
+reduceWitness(Oracle &oracle, const minic::Program &program,
+              const support::Bytes &witness)
+{
+    WitnessReduction out;
+    out.inputStats = reduceInput(oracle, program, witness);
+    out.programStats =
+        reduceProgram(oracle, minic::printProgram(program),
+                      out.inputStats.reduced);
+    // A shrunken program usually reads less input, so one more input
+    // pass against the minimized program drops bytes only the
+    // original program consumed.
+    out.program = minic::parseAndCheck(out.programStats.source);
+    const InputReduction second =
+        reduceInput(oracle, *out.program, out.inputStats.reduced);
+    out.inputStats.reduced = second.reduced;
+    out.inputStats.candidatesTried += second.candidatesTried;
+    out.inputStats.candidatesAccepted += second.candidatesAccepted;
+    out.inputStats.bytesRemoved += second.bytesRemoved;
+    out.inputStats.bytesNormalized += second.bytesNormalized;
+    return out;
+}
+
+void
+forEachWitness(std::size_t count, std::size_t jobs,
+               const std::function<void(std::size_t)> &task)
+{
+    if (jobs == 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; i++)
+            task(i);
+        return;
+    }
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(count);
+    for (std::size_t i = 0; i < count; i++)
+        tasks.push_back([&task, i] { task(i); });
+    support::ThreadPool pool(jobs);
+    pool.runAll(std::move(tasks));
+}
+
 std::vector<DivergenceReport>
 reduceAndReport(const minic::Program &program,
                 const core::ImplementationSet &impls,
@@ -139,21 +155,9 @@ reduceAndReport(const minic::Program &program,
 
     // One oracle per witness, fixed result slots: jobs affects only
     // scheduling, never what any slot contains.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(witnesses.size());
-    for (std::size_t i = 0; i < witnesses.size(); i++) {
-        tasks.push_back([&, i] {
-            reports[i] =
-                reduceOne(program, impls, witnesses[i], options);
-        });
-    }
-    if (options.jobs == 1 || witnesses.size() == 1) {
-        for (auto &task : tasks)
-            task();
-    } else {
-        support::ThreadPool pool(options.jobs);
-        pool.runAll(std::move(tasks));
-    }
+    forEachWitness(witnesses.size(), options.jobs, [&](std::size_t i) {
+        reports[i] = reduceOne(program, impls, witnesses[i], options);
+    });
 
     obs::counter("reduce.witnesses")
         .add(static_cast<std::uint64_t>(witnesses.size()));

@@ -31,18 +31,52 @@
  */
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "compdiff/engine.hh"
 #include "compdiff/implementation.hh"
 #include "minic/ast.hh"
+#include "reduce/input_reducer.hh"
+#include "reduce/oracle.hh"
+#include "reduce/program_reducer.hh"
 #include "reduce/report.hh"
 #include "session/records.hh"
 #include "support/bytes.hh"
 
 namespace compdiff::reduce
 {
+
+/** The input → program → input reduction of one witness. */
+struct WitnessReduction
+{
+    /** Both input passes summed; `reduced` is the final input. */
+    InputReduction inputStats;
+    ProgramReduction programStats;
+    /** The minimized program, parsed from programStats.source. */
+    std::unique_ptr<minic::Program> program;
+};
+
+/**
+ * Minimize one witness under `oracle`: ddmin the input, shrink the
+ * program against the reduced input, then reduce the input once more
+ * against the minimized program (a shrunken program usually reads
+ * less input). All passes share the oracle's budget.
+ */
+WitnessReduction reduceWitness(Oracle &oracle,
+                               const minic::Program &program,
+                               const support::Bytes &witness);
+
+/**
+ * Run task(i) for every i < count, each writing its own result
+ * slot: serially when jobs == 1 or count <= 1, else on a
+ * support::ThreadPool of `jobs` workers (0 = hardware). The split
+ * never changes what a slot holds.
+ */
+void forEachWitness(std::size_t count, std::size_t jobs,
+                    const std::function<void(std::size_t)> &task);
 
 /** One campaign divergence to reduce. */
 struct Witness

@@ -3,15 +3,14 @@
 #include <iomanip>
 #include <sstream>
 
-#include "minic/parser.hh"
 #include "minic/printer.hh"
 #include "obs/metrics.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
+#include "reduce/pipeline.hh"
 #include "reduce/report.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "support/thread_pool.hh"
 
 namespace compdiff::sancheck
 {
@@ -35,8 +34,8 @@ SanFindingOracle::SanFindingOracle(const minic::Program &program,
                                    const SanFinding &finding,
                                    vm::VmLimits limits,
                                    std::uint64_t candidate_budget)
-    : impls_(std::move(impls)), limits_(limits),
-      budget_(candidate_budget), target_(finding.signatureHash()),
+    : reduce::Oracle(candidate_budget), impls_(std::move(impls)),
+      limits_(limits), target_(finding.signatureHash()),
       witnessProgram_(&program)
 {
     witnessEngine_ =
@@ -54,13 +53,9 @@ SanFindingOracle::SanFindingOracle(const minic::Program &program,
 SanFindingOracle::~SanFindingOracle() = default;
 
 bool
-SanFindingOracle::preserves(const minic::Program &program,
-                            const support::Bytes &input)
+SanFindingOracle::accepts(const minic::Program &program,
+                          const support::Bytes &input)
 {
-    if (budgetExhausted())
-        return false;
-    stats_.tried++;
-
     // The witness program keeps its resident engine; candidate
     // programs are caller-owned temporaries and get a fresh engine
     // per call (CompileCache absorbs the recompiles, and a pointer-
@@ -73,10 +68,8 @@ SanFindingOracle::preserves(const minic::Program &program,
         outcome = candidate.runInput(input, 0);
     }
     for (const SanFinding &found : outcome.findings) {
-        if (found.signatureHash() == target_) {
-            stats_.accepted++;
+        if (found.signatureHash() == target_)
             return true;
-        }
     }
     return false;
 }
@@ -110,28 +103,16 @@ reduceOneFinding(const minic::Program &program,
         return report;
     }
 
-    report.inputStats = reduce::reduceInput(oracle, program,
-                                            witness.input);
+    reduce::WitnessReduction reduction =
+        reduce::reduceWitness(oracle, program, witness.input);
+    report.inputStats = std::move(reduction.inputStats);
+    report.programStats = std::move(reduction.programStats);
     report.input = report.inputStats.reduced;
-    report.programStats = reduce::reduceProgram(
-        oracle, minic::printProgram(program), report.input);
     report.program = report.programStats.source;
-
-    // One more input pass against the minimized program drops bytes
-    // only the original program consumed.
-    auto minimized = minic::parseAndCheck(report.program);
-    const reduce::InputReduction second =
-        reduce::reduceInput(oracle, *minimized, report.input);
-    report.input = second.reduced;
-    report.inputStats.reduced = second.reduced;
-    report.inputStats.candidatesTried += second.candidatesTried;
-    report.inputStats.candidatesAccepted += second.candidatesAccepted;
-    report.inputStats.bytesRemoved += second.bytesRemoved;
-    report.inputStats.bytesNormalized += second.bytesNormalized;
 
     // Re-derive the certified run and the finding details from the
     // minimized pair: the report describes what is filed.
-    SanCheckOracle engine(*minimized, impls, options.limits);
+    SanCheckOracle engine(*reduction.program, impls, options.limits);
     Outcome outcome = engine.runInput(report.input, 0);
     report.certified = std::move(outcome.certified);
     for (const SanFinding &found : outcome.findings) {
@@ -254,21 +235,11 @@ reduceFindings(const minic::Program &program,
     if (witnesses.empty())
         return reports;
 
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(witnesses.size());
-    for (std::size_t i = 0; i < witnesses.size(); i++) {
-        tasks.push_back([&, i] {
+    reduce::forEachWitness(
+        witnesses.size(), options.jobs, [&](std::size_t i) {
             reports[i] = reduceOneFinding(program, impls,
                                           witnesses[i], options);
         });
-    }
-    if (options.jobs == 1 || witnesses.size() == 1) {
-        for (auto &task : tasks)
-            task();
-    } else {
-        support::ThreadPool pool(options.jobs);
-        pool.runAll(std::move(tasks));
-    }
 
     obs::counter("sancheck.reduce.witnesses")
         .add(static_cast<std::uint64_t>(witnesses.size()));

@@ -6,8 +6,9 @@
  *
  * Mirrors the divergence pipeline (src/reduce): each distinct-
  * signature finding witness gets its own budgeted oracle, the
- * existing ddmin input reducer and AST program shrinker run against
- * it unchanged (they only see reduce::Oracle), and the result is
+ * shared reduce::reduceWitness driver (input ddmin, program
+ * shrinking, input again) runs against it unchanged (the reducers
+ * only see reduce::Oracle), and the result is
  * bundled under `<outDir>/sig-<hex>/` — program.mc, input.bin,
  * witness.bin, report.md — where the hex is the finding's signature
  * hash. The report names the certified UB site and the silent or
@@ -103,32 +104,18 @@ class SanFindingOracle : public reduce::Oracle
         return witnessCertified_;
     }
 
-    std::uint64_t targetSignature() const override
-    {
-        return target_;
-    }
-
-    bool preserves(const minic::Program &program,
-                   const support::Bytes &input) override;
-
-    bool budgetExhausted() const override
-    {
-        return stats_.tried >= budget_;
-    }
-
-    const reduce::OracleStats &stats() const override
-    {
-        return stats_;
-    }
+  protected:
+    /** True iff the candidate's classification still yields a
+     *  finding with the target signature hash. */
+    bool accepts(const minic::Program &program,
+                 const support::Bytes &input) override;
 
   private:
     core::ImplementationSet impls_;
     vm::VmLimits limits_;
-    std::uint64_t budget_;
     std::uint64_t target_ = 0;
     bool reproduced_ = false;
     refinterp::CertifiedRun witnessCertified_;
-    reduce::OracleStats stats_;
 
     const minic::Program *witnessProgram_ = nullptr;
     std::unique_ptr<SanCheckOracle> witnessEngine_;

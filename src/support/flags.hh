@@ -21,6 +21,8 @@
 #include <variant>
 #include <vector>
 
+#include "support/logging.hh"
+
 namespace compdiff::support
 {
 
@@ -107,6 +109,21 @@ class FlagSet
 
     /** Print `message` and the usage to stderr and exit 2. */
     [[noreturn]] void fail(const std::string &message) const;
+
+    /**
+     * `make()` for a value built from flag text after parsing (say,
+     * implementation specs): a FatalError it throws fails like a
+     * malformed value of `flag`.
+     */
+    template <typename Make>
+    auto convert(const std::string &flag, Make &&make) const
+    {
+        try {
+            return make();
+        } catch (const FatalError &error) {
+            fail("invalid value for " + flag + ": " + error.what());
+        }
+    }
 
     /** The generated --help text. */
     const std::string &usage() const { return usage_; }

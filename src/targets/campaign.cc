@@ -6,6 +6,7 @@
 #include "minic/parser.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "reduce/input_reducer.hh"
 #include "sanitizers/sanitizers.hh"
 #include "session/session.hh"
 #include "support/logging.hh"
@@ -17,53 +18,40 @@ namespace
 {
 
 /**
- * AFL-tmin-style witness reduction: shrink the input while it still
- * fires the bug's probe and still diverges. This is the automatic
- * counterpart of the paper's manual triage — without it, a witness
- * carrying several records would attribute *other* records' sanitizer
- * reports to this bug (Table 6 would be contaminated).
+ * Triage oracle for a planted bug's witness: a candidate still
+ * reproduces the bug when the bug's ground-truth probe fires on the
+ * fuzz-config Vm and the implementations still diverge. Minimizing
+ * with it is the automatic counterpart of the paper's manual triage:
+ * a witness that still carried other records would attribute their
+ * sanitizer reports to this bug (Table 6 would be contaminated). The
+ * probe, not the divergence signature, is the bug's identity here, so
+ * the reduction may drop other records' divergences along the way.
  */
-support::Bytes
-minimizeWitness(const core::DiffEngine &engine, vm::Vm &probe_vm,
-                const support::Bytes &input, int probe)
+class ProbeOracle : public reduce::Oracle
 {
-    auto still_good = [&](const support::Bytes &candidate) {
-        auto run = probe_vm.run(candidate);
-        if (std::find(run.probes.begin(), run.probes.end(), probe) ==
-            run.probes.end()) {
-            return false;
-        }
-        return engine.runInput(candidate).divergent;
-    };
-
-    support::Bytes current = input;
-    bool changed = true;
-    for (int round = 0; round < 4 && changed; round++) {
-        changed = false;
-        for (std::size_t chunk = std::max<std::size_t>(
-                 current.size() / 2, 1);
-             chunk >= 1; chunk /= 2) {
-            for (std::size_t pos = 0;
-                 pos + chunk <= current.size();) {
-                support::Bytes candidate = current;
-                candidate.erase(
-                    candidate.begin() +
-                        static_cast<std::ptrdiff_t>(pos),
-                    candidate.begin() +
-                        static_cast<std::ptrdiff_t>(pos + chunk));
-                if (still_good(candidate)) {
-                    current = std::move(candidate);
-                    changed = true;
-                } else {
-                    pos += chunk;
-                }
-            }
-            if (chunk == 1)
-                break;
-        }
+  public:
+    ProbeOracle(const core::DiffEngine &engine, vm::Vm &probe_vm,
+                int probe, std::uint64_t candidate_budget)
+        : reduce::Oracle(candidate_budget), engine_(engine),
+          probeVm_(probe_vm), probe_(probe)
+    {
     }
-    return current;
-}
+
+  protected:
+    bool accepts(const minic::Program &,
+                 const support::Bytes &input) override
+    {
+        const auto run = probeVm_.run(input);
+        return std::find(run.probes.begin(), run.probes.end(),
+                         probe_) != run.probes.end() &&
+               engine_.runInput(input).divergent;
+    }
+
+  private:
+    const core::DiffEngine &engine_;
+    vm::Vm &probeVm_;
+    int probe_;
+};
 
 } // namespace
 
@@ -186,8 +174,11 @@ runCampaign(const TargetProgram &target,
         BugFinding finding;
         finding.probeId = probe;
         finding.bug = bug;
+        ProbeOracle oracle(engine, probe_vm, probe,
+                           options.triage.candidateBudget);
         finding.witness =
-            minimizeWitness(engine, probe_vm, record->input, probe);
+            reduce::reduceInput(oracle, *program, record->input)
+                .reduced;
         finding.hashVector =
             engine.runInput(finding.witness).hashVector();
         if (options.checkSanitizers) {

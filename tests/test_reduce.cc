@@ -83,30 +83,22 @@ gccVsRef()
 class RecordingOracle : public reduce::Oracle
 {
   public:
-    explicit RecordingOracle(reduce::Oracle &inner) : inner_(inner) {}
-
-    std::uint64_t targetSignature() const override
+    RecordingOracle(reduce::Oracle &inner, std::uint64_t budget)
+        : reduce::Oracle(budget), inner_(inner)
     {
-        return inner_.targetSignature();
     }
-    bool preserves(const minic::Program &program,
-                   const support::Bytes &input) override
+
+    std::vector<support::Bytes> accepted;
+
+  protected:
+    bool accepts(const minic::Program &program,
+                 const support::Bytes &input) override
     {
         const bool ok = inner_.preserves(program, input);
         if (ok)
             accepted.push_back(input);
         return ok;
     }
-    bool budgetExhausted() const override
-    {
-        return inner_.budgetExhausted();
-    }
-    const reduce::OracleStats &stats() const override
-    {
-        return inner_.stats();
-    }
-
-    std::vector<support::Bytes> accepted;
 
   private:
     reduce::Oracle &inner_;
@@ -176,7 +168,7 @@ TEST(ReduceInput, EveryAcceptedCandidatePreservesSignature)
     ASSERT_TRUE(oracle.reproduced());
     const std::uint64_t target = oracle.targetSignature();
 
-    RecordingOracle spy(oracle);
+    RecordingOracle spy(oracle, 4096);
     auto reduction = reduce::reduceInput(spy, *program, witness);
     ASSERT_FALSE(spy.accepted.empty());
     EXPECT_EQ(spy.accepted.back(), reduction.reduced);

@@ -474,6 +474,32 @@ TEST(Sancheck, ReduceBundlesNameSiteAndSanitizer)
     std::filesystem::remove_all(out_dir);
 }
 
+TEST(Sancheck, ReduceBudgetBoundsCandidates)
+{
+    auto program = minic::parseAndCheck(sancheck::sanlabSource());
+    auto impls = sancheck::defaultImplementations();
+    sancheck::SanCheckOracle oracle(*program, impls);
+    const Bytes witness = {1, 0};
+    const auto outcome = oracle.runInput(witness);
+    ASSERT_FALSE(outcome.findings.empty());
+
+    // The budget spans all three passes (input, program, input).
+    for (const std::uint64_t budget : {1u, 7u, 40u}) {
+        sancheck::FindingReduceOptions options;
+        options.candidateBudget = budget;
+        const auto reports = sancheck::reduceFindings(
+            *program, impls, {{witness, outcome.findings.front()}},
+            options);
+        ASSERT_EQ(reports.size(), 1u);
+        const auto &report = reports.front();
+        EXPECT_TRUE(report.reproduced);
+        EXPECT_LE(report.inputStats.candidatesTried +
+                      report.programStats.candidatesTried,
+                  budget);
+        EXPECT_LE(report.input.size(), witness.size());
+    }
+}
+
 // ---------------- campaign mode ----------------
 
 session::SessionConfig

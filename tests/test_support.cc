@@ -131,6 +131,7 @@ TEST(Table, BoxStatsQuartiles)
 struct FlagFixture
 {
     std::uint64_t jobs = 1;
+    std::uint64_t shards = 1;
     std::string mode = "diff";
     std::string format = "table";
     bool fuzz = false;
@@ -149,6 +150,7 @@ struct FlagFixture
             "prog [options] [file]",
             {{"campaign",
               {Flag("--jobs=N", &jobs, "threads").atMost(kMaxWorkerCount),
+               Flag("--shards=N", &shards, "shards").atMost(kMaxWorkerCount),
                Flag("--fuzz[=N]", &fuzzExecs, "campaign", &fuzz),
                Flag("--heartbeat-every=S", &heartbeatSecs, "heartbeat"),
                Flag("--session=DIR", &session, "session")}},
@@ -186,6 +188,15 @@ TEST(Flags, RejectsMalformedCounts)
         EXPECT_NE(message.find("--jobs"), std::string::npos) << value;
         EXPECT_EQ(f.jobs, 1u) << value;
     }
+    // --shards shares the ceiling: a huge shard count is a usage
+    // error, not an allocation of that many shards.
+    for (const char *value : {"100000000", "1025"}) {
+        FlagFixture f;
+        const std::string message = f.error(std::string("--shards=") + value);
+        EXPECT_NE(message.find("--shards"), std::string::npos) << value;
+        EXPECT_NE(message.find("limit 1024"), std::string::npos) << value;
+        EXPECT_EQ(f.shards, 1u) << value;
+    }
     FlagFixture f;
     EXPECT_NE(f.error("--jobs=1025").find("limit 1024"), std::string::npos);
     EXPECT_NE(f.error("--jobs=18446744073709551616").find("out of range"),
@@ -204,11 +215,26 @@ TEST(Flags, AcceptsValidCountsExactly)
     EXPECT_EQ(f.jobs, 1024u);
     f.parse({"--jobs=007"});
     EXPECT_EQ(f.jobs, 7u);
+    f.parse({"--shards=1024"});
+    EXPECT_EQ(f.shards, 1024u);
     // Without a ceiling the whole uint64 range fits.
     f.parse({"--fuzz=18446744073709551615"});
     EXPECT_EQ(f.fuzzExecs, UINT64_MAX);
     EXPECT_EQ(parseUnsigned("execs", "600"), 600u);
     EXPECT_THROW(parseUnsigned("execs", "600k"), FlagError);
+}
+
+TEST(Flags, ConvertReportsFatalErrorsAsUsageErrors)
+{
+    FlagFixture f;
+    EXPECT_EQ(f.flags().convert("--impls", [] { return 3; }), 3);
+    // A bad spec found after parsing exits 2 with the usage, the way
+    // a malformed value does (ImplementationRegistry::parse throws
+    // FatalError on an unknown family).
+    EXPECT_EXIT(f.flags().convert("--impls",
+                                  []() -> int { fatal("unknown family"); }),
+                ::testing::ExitedWithCode(2),
+                "invalid value for --impls: fatal: unknown family");
 }
 
 TEST(Flags, NumbersAreStrictAndLossless)

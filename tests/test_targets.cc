@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <map>
 #include <set>
 
 #include "compdiff/engine.hh"
 #include "compiler/compiler.hh"
 #include "minic/parser.hh"
+#include "session/session.hh"
 #include "targets/campaign.hh"
 #include "targets/targets.hh"
 #include "vm/vm.hh"
@@ -113,6 +116,19 @@ TEST(Targets, CampaignsFindPlantedBugs)
     targets::CampaignOptions options;
     options.maxExecs = 10'000;
     options.checkSanitizers = false;
+    // Persisted so the divergence records the witnesses were
+    // minimized from can be read back.
+    options.sessionDir = (std::filesystem::temp_directory_path() /
+                          "compdiff_Targets_CampaignsFindPlantedBugs")
+                             .string();
+    std::filesystem::remove_all(options.sessionDir);
+
+    // The campaign's own triage view: the probe Vm and the oracle.
+    const fuzz::FuzzOptions fuzz_defaults;
+    core::DiffOptions diff_options;
+    diff_options.normalizer =
+        core::OutputNormalizer::withDefaultFilters();
+    diff_options.limits = options.limits;
 
     std::size_t planted = 0;
     std::size_t found = 0;
@@ -125,11 +141,42 @@ TEST(Targets, CampaignsFindPlantedBugs)
         found += result.found.size();
         EXPECT_EQ(result.untriagedDiffs(), 0u)
             << name << " produced unplanted divergences";
+
+        auto program = minic::parseAndCheck(target->source);
+        core::DiffEngine engine(*program,
+                                compiler::standardImplementations(),
+                                diff_options);
+        compiler::Compiler comp(*program);
+        auto module = comp.compile(fuzz_defaults.fuzzConfig);
+        vm::Vm probe_vm(module, fuzz_defaults.fuzzConfig,
+                        options.limits);
+        const auto records =
+            session::CampaignSession::loadDivergenceRecords(
+                options.sessionDir + "/" + name);
         for (const auto &finding : result.found) {
             ASSERT_NE(finding.bug, nullptr);
             EXPECT_FALSE(finding.hashVector.empty());
+            // The minimized witness still reproduces the same bug...
+            const auto probes = probe_vm.run(finding.witness).probes;
+            EXPECT_NE(std::find(probes.begin(), probes.end(),
+                                finding.probeId),
+                      probes.end())
+                << name << " probe " << finding.probeId;
+            EXPECT_TRUE(engine.runInput(finding.witness).divergent)
+                << name << " probe " << finding.probeId;
+            // ...and is no longer than the first record that fired
+            // its probe, the input it was minimized from.
+            const auto source = std::find_if(
+                records.begin(), records.end(), [&](const auto &r) {
+                    return std::find(r.probes.begin(), r.probes.end(),
+                                     finding.probeId) != r.probes.end();
+                });
+            ASSERT_NE(source, records.end()) << name;
+            EXPECT_LE(finding.witness.size(), source->input.size())
+                << name << " probe " << finding.probeId;
         }
     }
+    std::filesystem::remove_all(options.sessionDir);
     EXPECT_GE(found, planted * 3 / 4)
         << "only " << found << " of " << planted << " bugs found";
 }
